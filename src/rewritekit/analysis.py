@@ -273,6 +273,8 @@ def dehn_table(presentation: "Presentation", n_max: int,
     equations = presentation.equations
     if slack is None:
         slack = 2 * max((max(len(l), len(r)) for l, r in equations), default=0)
+    if slack < 0:
+        raise ValueError(f"slack must be >= 0, got {slack}")
     cap = n_max + slack
 
     if mode == "exhaustive":

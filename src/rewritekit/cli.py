@@ -46,6 +46,17 @@ def _certificate_dict(cert) -> Optional[dict]:
             "chain": [print_word(w) or "1" for w in cert.chain]}
 
 
+def positive_int(text: str) -> int:
+    """argparse type for budgets and sizes: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _parse_range(text: str) -> range:
     try:
         if ".." in text:
@@ -305,6 +316,10 @@ def cmd_dehn(args) -> int:
         print(f"{'n':>3} {'dehn':>5} {'space':>6} {'pairs':>8}  exhaustive")
         for s in table:
             print(f"{s.n:>3} {s.dehn:>5} {s.space:>6} {s.pairs_examined:>8}  {s.exhaustive}")
+    if mode == "exhaustive" and not all(s.exhaustive for s in table):
+        print(f"budget exhausted: the {args.nodes}-node budget truncated the table "
+              "(rows marked exhaustive False)", file=sys.stderr)
+        return EXIT_BUDGET
     return EXIT_OK
 
 
@@ -422,10 +437,11 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, fuel=True, nodes=False):
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         if fuel:
-            p.add_argument("--fuel", type=int, default=rewrite.DEFAULT_FUEL,
+            p.add_argument("--fuel", type=positive_int, default=rewrite.DEFAULT_FUEL,
                            help="max rewrite steps per reduction (default %(default)s)")
         if nodes:
-            p.add_argument("--nodes", type=int, default=analysis.DEFAULT_NODE_BUDGET,
+            p.add_argument("--nodes", type=positive_int,
+                           default=analysis.DEFAULT_NODE_BUDGET,
                            help="oracle node budget (default %(default)s)")
 
     p = sub.add_parser("build", help="build (and optionally verify) a family system")
@@ -434,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="certify and check presentation equivalence")
     p.add_argument("--out", help="write the system file here")
-    p.add_argument("--max-weight", type=int, default=8)
+    p.add_argument("--max-weight", type=positive_int, default=8)
     add_common(p, nodes=True)
     p.set_defaults(func=cmd_build)
 
@@ -444,10 +460,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{name}", help=f"override range for {name}")
     p.add_argument("--checks", default="completeness",
                    help="comma-separated: completeness,equivalence,probe,dehn")
-    p.add_argument("--max-weight", type=int, default=8)
-    p.add_argument("--max-rules", type=int, default=120)
-    p.add_argument("--max-steps", type=int, default=4000)
-    p.add_argument("--dehn-n", type=int, default=4)
+    p.add_argument("--max-weight", type=positive_int, default=8)
+    p.add_argument("--max-rules", type=positive_int, default=120)
+    p.add_argument("--max-steps", type=positive_int, default=4000)
+    p.add_argument("--dehn-n", type=positive_int, default=4)
     p.add_argument("--out", help="write the JSON rows here")
     add_common(p, nodes=True)
     p.set_defaults(func=cmd_grid)
@@ -456,8 +472,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--presentation", required=True)
     p.add_argument("--order", help='e.g. "weights: a=1 b=1; precedence: a>b" '
                                    "(default: all weights 1, alphabet order)")
-    p.add_argument("--max-rules", type=int, default=120)
-    p.add_argument("--max-steps", type=int, default=4000)
+    p.add_argument("--max-rules", type=positive_int, default=120)
+    p.add_argument("--max-steps", type=positive_int, default=4000)
     p.add_argument("--out", help="write the completed system file here")
     add_common(p)
     p.set_defaults(func=cmd_complete)
@@ -472,7 +488,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--presentation", required=True)
     p.add_argument("u")
     p.add_argument("v")
-    p.add_argument("--bound", type=int, help="length cap (default: max length + 2*relator)")
+    p.add_argument("--bound", type=positive_int,
+                   help="length cap (default: max length + 2*relator)")
     p.add_argument("--space", action="store_true",
                    help="minimize the intermediate-length bound instead of steps")
     add_common(p, fuel=False, nodes=True)
@@ -480,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dehn", help="measured Dehn/space table for a presentation")
     p.add_argument("--presentation", required=True)
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--mode", default="exhaustive", help="exhaustive or random:COUNT")
     p.add_argument("--slack", type=int, help="length-cap slack (default 2*relator)")
     p.add_argument("--seed", type=int, default=0)
@@ -491,9 +508,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", nargs=4, type=int, required=True,
                    metavar=("A", "B", "C", "D"))
     p.add_argument("--map", required=True, help='e.g. "a=a,b=bab"')
-    p.add_argument("--surjective-bound", type=int, default=3)
-    p.add_argument("--noninjective-bound", type=int)
-    p.add_argument("--max-weight", type=int, default=8)
+    p.add_argument("--surjective-bound", type=positive_int, default=3)
+    p.add_argument("--noninjective-bound", type=positive_int)
+    p.add_argument("--max-weight", type=positive_int, default=8)
     add_common(p)
     p.set_defaults(func=cmd_endo)
 

@@ -45,7 +45,14 @@ class CriticalPair:
     kind: str
 
 
-def _pairs_for_rules(rules) -> list[CriticalPair]:
+def _pairs_for_rules(rules, new: Optional[int] = None) -> list[CriticalPair]:
+    """Critical pairs of ``rules`` in (i, j) order, deduplicated by
+    (source, reduct set).
+
+    With ``new=k`` only the pairs that involve rule k are built, in the
+    order the full walk lists them: (i, k) for i < k, (k, j) for every j,
+    then (i, k) for i > k.
+    """
     out: list[CriticalPair] = []
     seen: set[tuple[Word, frozenset]] = set()
 
@@ -58,8 +65,10 @@ def _pairs_for_rules(rules) -> list[CriticalPair]:
         seen.add(key)
         out.append(CriticalPair(source, left, right, i, j, pi, pj, kind))
 
+    every_j = range(len(rules))
     for i, (l1, r1) in enumerate(rules):
-        for j, (l2, r2) in enumerate(rules):
+        for j in (every_j if new is None or i == new else (new,)):
+            l2, r2 = rules[j]
             # staircase: proper suffix of l1 = proper prefix of l2
             for t in range(1, min(len(l1), len(l2))):
                 if l1[len(l1) - t:] == l2[:t]:
@@ -156,7 +165,10 @@ def knuth_bendix(presentation: "Presentation", order: ReductionOrder,
 
     Equations are processed FIFO and normalized before orientation; after
     each rule addition, rules whose lhs became reducible are removed and
-    requeued, and reducible rhs sides are re-normalized.  The outcome is
+    requeued, and the rhs sides that contain the new lhs are re-normalized.
+    Only the critical pairs that involve the new rule are queued: the pairs
+    among older rules were queued when the younger of the two was added.
+    The order must cover exactly the presentation's letters.  The outcome is
     ``completed`` exactly when the pair queue empties within the limits,
     and a completed system is self-checked (locally confluent and
     terminating under ``order``) before being returned.
@@ -166,6 +178,9 @@ def knuth_bendix(presentation: "Presentation", order: ReductionOrder,
     for letter in order.precedence:
         if letter not in presentation.alphabet:
             raise ValueError(f"order letter {letter!r} not in presentation alphabet")
+    for letter in presentation.alphabet.letters:
+        if letter not in order.weights:
+            raise ValueError(f"presentation letter {letter!r} missing from order {order}")
 
     queue: deque[tuple[Word, Word]] = deque(presentation.equations)
     live: list[tuple[Word, Word]] = []
@@ -207,14 +222,11 @@ def knuth_bendix(presentation: "Presentation", order: ReductionOrder,
         rules_added += 1
         if len(live) > max_rules:
             return report("limit-exceeded")
-        live = [(l, _reduce(live, r, fuel)) for l, r in live]
+        # rhs are irreducible under the earlier rules and never contain their own lhs
+        live = [(l, _reduce(live, r, fuel) if lhs in r else r) for l, r in live]
 
-        for cp in _pairs_for_rules(live):
-            # only pairs involving the new rule are genuinely new, but
-            # requeuing duplicates is harmless: they normalize to equal
-            # words and are discarded
-            if cp.rule_i == len(live) - 1 or cp.rule_j == len(live) - 1:
-                queue.append((cp.left, cp.right))
+        queue.extend((cp.left, cp.right)
+                     for cp in _pairs_for_rules(live, new=len(live) - 1))
 
     system = RewritingSystem(presentation.alphabet,
                              tuple(Rule(l, r) for l, r in sorted(live)))

@@ -1,6 +1,19 @@
+import tempfile
+
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import rewritekit as rk
+
+# Property tests draw the same examples on every run and keep no example
+# database; Hypothesis's other caches go to a directory removed at exit,
+# so no run leaves a .hypothesis/ directory behind.
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")
+_hypothesis_home = tempfile.TemporaryDirectory(prefix="hypothesis-")
+set_hypothesis_home_dir(_hypothesis_home.name)
 
 GRID = [(a, b, g, d)
         for a in range(1, 5) for b in range(1, 5)

@@ -212,6 +212,12 @@ class TestDehn:
             dehn_table(pres, 15)
         assert dehn_table(pres, 3, mode="random", sample_count=5)  # no ceiling
 
+    def test_negative_slack_is_rejected(self, demo):
+        # a cap below n would report truncated rows as exhaustive
+        _, pres, _ = demo
+        with pytest.raises(ValueError, match="slack"):
+            dehn_table(pres, 4, slack=-1)
+
     def test_random_mode_is_deterministic_and_bounded(self, demo):
         _, pres, _ = demo
         a = dehn_table(pres, 8, mode="random", sample_count=60, seed=4)

@@ -51,6 +51,39 @@ class TestExitCodes:
         assert cli.main(["complete", "--presentation", pres_file,
                          "--max-steps", "1", "--max-rules", "1"]) == 3
 
+    def test_usage_error_on_order_missing_a_letter(self, pres_file, capsys):
+        assert cli.main(["complete", "--presentation", pres_file,
+                         "--order", "weights: a=1; precedence: a"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--params", "1", "2", "2", "2", "--nodes", "0"],
+        ["build", "--params", "1", "2", "2", "2", "--fuel", "0"],
+        ["build", "--params", "1", "2", "2", "2", "--max-weight", "0"],
+        ["grid", "--max-rules", "0"],
+        ["grid", "--max-steps", "-1"],
+        ["grid", "--dehn-n", "0"],
+        ["dehn", "--presentation", "m.pres", "--n", "0"],
+        ["equal", "--presentation", "m.pres", "ab", "b", "--nodes", "0"],
+        ["equal", "--presentation", "m.pres", "ab", "b", "--bound", "0"],
+        ["endo", "--params", "1", "2", "2", "2", "--map", "a=a,b=bab",
+         "--surjective-bound", "0"],
+        ["endo", "--params", "1", "2", "2", "2", "--map", "a=a,b=bab",
+         "--noninjective-bound", "-2"],
+    ])
+    def test_usage_error_on_non_positive_budget(self, argv, capsys):
+        # parsing rejects the value before any file named in argv is read
+        assert cli.main(argv) == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
+    def test_budget_exhaustion_on_truncated_dehn_table(self, pres_file, capsys):
+        assert cli.main(["dehn", "--presentation", pres_file, "--n", "6",
+                         "--nodes", "1000"]) == 3
+        captured = capsys.readouterr()
+        assert "False" in captured.out
+        assert captured.err.startswith("budget exhausted:")
+
     def test_budget_exhaustion_on_tiny_oracle(self, pres_file, capsys):
         assert cli.main(["equal", "--presentation", pres_file, "ab^2", "b",
                          "--bound", "40", "--nodes", "10"]) == 3

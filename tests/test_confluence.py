@@ -1,15 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import rewritekit as rk
 from rewritekit.confluence import (
+    CompletionStats,
+    _pairs_for_rules,
     check_local_confluence,
     critical_pairs,
     is_length_non_increasing,
     knuth_bendix,
 )
-from rewritekit.rewrite import ReductionOrder, Rule, RewritingSystem, normal_form
+from rewritekit.family import Case
+from rewritekit.rewrite import ReductionOrder, Rule, RewritingSystem, _reduce, normal_form
 from rewritekit.words import alphabet
 
 AB = alphabet("ab")
@@ -54,8 +58,6 @@ class TestCriticalPairs:
         cp = pairs[0]
         assert {cp.left, cp.right} == {"bxbx", "xxbb"}
         rules = demo.rule_pairs()
-        from rewritekit.rewrite import _reduce
-
         assert _reduce(rules, cp.left, 10**6) == _reduce(rules, cp.right, 10**6) == "bxbx"
 
     def test_replay_soundness(self, demo):
@@ -109,6 +111,30 @@ class TestCriticalPairs:
                     assert (src, frozenset((left, right))) in known
 
 
+def _pair_key(cp):
+    return cp.source, frozenset((cp.left, cp.right))
+
+
+def _words(min_size, max_size):
+    return st.lists(st.sampled_from("ab"), min_size=min_size,
+                    max_size=max_size).map("".join)
+
+
+@given(st.lists(st.tuples(_words(1, 5), _words(0, 4)), min_size=1, max_size=6),
+       st.data())
+def test_new_rule_pairs_are_the_full_walk_filtered(rules, data):
+    k = data.draw(st.integers(0, len(rules) - 1))
+    full = _pairs_for_rules(rules)
+    involving_k = [cp for cp in full if k in (cp.rule_i, cp.rule_j)]
+    # the full walk's dedup may already have taken a key from a pair that
+    # does not involve k; the incremental walk never sees that pair
+    taken_elsewhere = {_pair_key(cp) for cp in full
+                       if k not in (cp.rule_i, cp.rule_j)}
+    incremental = [cp for cp in _pairs_for_rules(rules, new=k)
+                   if _pair_key(cp) not in taken_elsewhere]
+    assert incremental == involving_k
+
+
 class TestLocalConfluence:
     def test_demo_is_joinable(self, demo):
         report = check_local_confluence(demo)
@@ -132,8 +158,6 @@ class TestLocalConfluence:
         tag, params = rk.classify(1, 2, 2, 2)
         relator = params.relator
         rules = demo.rule_pairs()
-        from rewritekit.rewrite import _reduce
-
         checked = 0
         while checked < 1000:
             u = "".join(rng.choice("ab") for _ in range(rng.randint(1, 12)))
@@ -163,6 +187,37 @@ class TestKnuthBendix:
         order = ReductionOrder({"a": 1, "b": 1}, ("a", "b"))
         assert knuth_bendix(pres, order, max_rules=1, max_steps=1).outcome == \
             "limit-exceeded"
+
+    @pytest.mark.parametrize("params, outcome, stats", [
+        ((1, 1, 1, 1), "completed", (3, 2, 0, 3)),
+        ((2, 2, 2, 2), "completed", (6, 4, 1, 6)),
+        ((1, 2, 2, 2), "completed", (52, 14, 10, 52)),
+        ((1, 2, 4, 2), "limit-exceeded", (4000, 84, 26, 4001)),
+        ((1, 3, 2, 2), "limit-exceeded", (2010, 146, 25, 2010)),
+    ])
+    def test_probe_completion_stats_are_pinned(self, params, outcome, stats):
+        # the probe-grid setup of the acceptance suite, at its limits
+        tag, fp = rk.classify(*params)
+        pres = (rk.extended_presentation(fp) if tag.variant in (Case.CASE3, Case.CASE4)
+                else rk.one_relator_presentation(fp))
+        report = knuth_bendix(pres, rk.probe_order(pres.alphabet),
+                              max_rules=120, max_steps=4000)
+        assert (report.outcome, report.stats) == (outcome, CompletionStats(*stats))
+        if report.completed:  # inter-reduced: every rhs is a normal form
+            rules = report.system.rule_pairs()
+            assert all(_reduce(rules, r, 10**6) == r for _, r in rules)
+
+    def test_later_rule_renormalizes_an_older_rhs(self):
+        # a -> b is installed before b -> 1, whose lhs then occurs in that rhs
+        pres = rk.Presentation(AB, (("bbaba", "a"), ("ab", "bb"), ("abbab", "")))
+        report = knuth_bendix(pres, ReductionOrder({"a": 1, "b": 1}, ("a", "b")))
+        assert report.system.rule_pairs() == (("a", ""), ("b", ""))
+        assert report.stats == CompletionStats(15, 7, 5, 15)
+
+    def test_order_must_cover_the_alphabet(self):
+        pres = rk.Presentation(AB, (("abab", "b"),))
+        with pytest.raises(ValueError, match="'b' missing from order"):
+            knuth_bendix(pres, ReductionOrder({"a": 1}, ("a",)))
 
     def test_completing_a_complete_system_preserves_classes(self, demo):
         # the four equations plus the defining equation for x
