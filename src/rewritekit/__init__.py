@@ -7,7 +7,6 @@ from .analysis import (
     DehnSample,
     EqualityCertificate,
     EqualityOutcome,
-    dehn_sample,
     dehn_table,
     enumerate_elements,
     equal_in_monoid,

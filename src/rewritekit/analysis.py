@@ -11,12 +11,11 @@ certificate, a definite "not connected within the bound", or an
 from __future__ import annotations
 
 import random
-from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .rewrite import Certification, RewritingSystem
-from .words import Word
+from .words import Word, find_occurrences
 
 if TYPE_CHECKING:
     from .family import Presentation
@@ -65,21 +64,53 @@ class EqualityOutcome:
     certificate: Optional[EqualityCertificate] = None
 
 
-def _neighbors(equations, w: Word, cap: int):
-    """Yield (word, (equation index, direction, position)) for every single
-    application whose result stays within the length cap."""
-    for idx, (lhs, rhs) in enumerate(equations):
-        for pat, sub, direction in ((lhs, rhs, FORWARD), (rhs, lhs, BACKWARD)):
-            if len(w) - len(pat) + len(sub) > cap:
-                continue
-            if pat:
-                p = w.find(pat)
-                while p != -1:
-                    yield w[:p] + sub + w[p + len(pat):], (idx, direction, p)
-                    p = w.find(pat, p + 1)
-            else:
-                for p in range(len(w) + 1):
-                    yield w[:p] + sub + w[p:], (idx, direction, p)
+def _directed(equations) -> tuple[tuple[Word, Word, int], ...]:
+    """Each equation as two directed rules (pattern, substitute, growth),
+    lhs -> rhs first.  Rule ``k`` applies equation ``k // 2`` in direction
+    FORWARD when ``k`` is even and BACKWARD when it is odd."""
+    rules = []
+    for lhs, rhs in equations:
+        rules.append((lhs, rhs, len(rhs) - len(lhs)))
+        rules.append((rhs, lhs, len(lhs) - len(rhs)))
+    return tuple(rules)
+
+
+def _neighbors(rules, w: Word, cap: int) -> list[Word]:
+    """The words one relation application away from ``w`` within the length
+    cap, in enumeration order: rule by rule, then by ascending position.
+
+    This is the one relation-application enumerator.  It returns words only
+    (a word may repeat when two applications join the same pair);
+    :func:`_application` recovers a step's (equation, direction, position)
+    when a certificate needs it.  An empty pattern matches at every
+    position, as ``str.find`` reports it.
+    """
+    out = []
+    room = cap - len(w)
+    for pat, sub, growth in rules:
+        if growth <= room:
+            m = len(pat)
+            p = w.find(pat)
+            while p != -1:
+                out.append(w[:p] + sub + w[p + m:])
+                p = w.find(pat, p + 1)
+    return out
+
+
+def _application(rules, u: Word, v: Word) -> tuple[int, str, int]:
+    """The first application, in :func:`_neighbors` order, rewriting u into v."""
+    growth = len(v) - len(u)
+    for k, rule in enumerate(rules):
+        if rule[2] != growth:
+            continue
+        hits = _neighbors((rule,), u, len(v))
+        if v in hits:
+            # a single rule's j-th hit comes from its j-th occurrence in u
+            j = hits.index(v)
+            pat = rule[0]
+            pos = find_occurrences(u, pat)[j] if pat else j
+            return k // 2, BACKWARD if k % 2 else FORWARD, pos
+    raise ValueError(f"no single application rewrites {u!r} into {v!r}")
 
 
 def _flip(move):
@@ -87,36 +118,43 @@ def _flip(move):
     return idx, BACKWARD if direction == FORWARD else FORWARD, pos
 
 
-def _build_certificate(meet: Word, vis_f, vis_b) -> EqualityCertificate:
+def _build_certificate(rules, meet: Word, vis_f, vis_b) -> EqualityCertificate:
+    """Walk both search trees out from ``meet``.  A tree records each word's
+    parent only; the step's move is the first application from the parent
+    that yields the word, which is the one the search took.  Steps on the
+    backward tree were taken from y's side, so each is recovered from its
+    parent and then flipped."""
     chain = [meet]
     apps: list = []
     w = meet
     while True:  # walk back to x
-        _, parent, move = vis_f[w]
+        parent = vis_f[w][1]
         if parent is None:
             break
         chain.insert(0, parent)
-        apps.insert(0, move)
+        apps.insert(0, _application(rules, parent, w))
         w = parent
     w = meet
-    while True:  # walk forward to y, inverting the backward tree's moves
-        _, parent, move = vis_b[w]
+    while True:  # walk forward to y
+        parent = vis_b[w][1]
         if parent is None:
             break
         chain.append(parent)
-        apps.append(_flip(move))
+        apps.append(_flip(_application(rules, parent, w)))
         w = parent
     return EqualityCertificate(tuple(chain), tuple(apps),
                                len(chain) - 1, max(len(c) for c in chain))
 
 
-def _bidirectional_search(equations, x: Word, y: Word, cap: int,
+def _bidirectional_search(rules, x: Word, y: Word, cap: int,
                           node_budget: int) -> EqualityOutcome:
+    """Bidirectional BFS between x and y under the directed ``rules``."""
     if x == y:
         return EqualityOutcome("equal",
                                EqualityCertificate((x,), (), 0, len(x)))
-    vis_f = {x: (0, None, None)}
-    vis_b = {y: (0, None, None)}
+    # word -> (depth, parent) in the tree grown from x (forward) or y
+    vis_f = {x: (0, None)}
+    vis_b = {y: (0, None)}
     frontier_f, frontier_b = [x], [y]
     depth_f = depth_b = 0
     best: Optional[tuple[int, Word]] = None
@@ -125,31 +163,35 @@ def _bidirectional_search(equations, x: Word, y: Word, cap: int,
         # a recorded meet is provably minimal once no shorter path can
         # remain uncaught by the completed levels
         if best is not None and best[0] <= depth_f + depth_b + 1:
-            return EqualityOutcome("equal", _build_certificate(best[1], vis_f, vis_b))
+            return EqualityOutcome("equal",
+                                   _build_certificate(rules, best[1], vis_f, vis_b))
         if not frontier_f or not frontier_b:
             if best is not None:
-                return EqualityOutcome("equal", _build_certificate(best[1], vis_f, vis_b))
+                return EqualityOutcome("equal",
+                                       _build_certificate(rules, best[1], vis_f, vis_b))
             return EqualityOutcome("unequal-within-bound")
 
         forward = len(frontier_f) <= len(frontier_b)
         this_vis, other_vis = (vis_f, vis_b) if forward else (vis_b, vis_f)
         frontier = frontier_f if forward else frontier_b
         depth = (depth_f if forward else depth_b) + 1
+        room = node_budget - len(other_vis)  # for this side, while it grows
         new_frontier: list[Word] = []
         for w in frontier:
-            for w2, move in _neighbors(equations, w, cap):
+            for w2 in _neighbors(rules, w, cap):
                 if w2 in this_vis:
                     continue
-                this_vis[w2] = (depth, w, move)
+                this_vis[w2] = (depth, w)
                 new_frontier.append(w2)
-                if w2 in other_vis:
-                    total = depth + other_vis[w2][0]
+                met = other_vis.get(w2)
+                if met is not None:
+                    total = depth + met[0]
                     if best is None or total < best[0]:
                         best = (total, w2)
-                if len(vis_f) + len(vis_b) > node_budget:
+                if len(this_vis) > room:
                     if best is not None:
                         return EqualityOutcome(
-                            "equal", _build_certificate(best[1], vis_f, vis_b))
+                            "equal", _build_certificate(rules, best[1], vis_f, vis_b))
                     return EqualityOutcome("inconclusive")
         if forward:
             frontier_f, depth_f = new_frontier, depth
@@ -173,15 +215,15 @@ def equal_in_monoid(presentation: "Presentation", x: Word, y: Word,
         raise ValueError("bound must cover both input words")
     if minimize not in ("steps", "space"):
         raise ValueError(f"unknown minimize mode {minimize!r}")
-    equations = presentation.equations
+    rules = _directed(presentation.equations)
     if minimize == "space":
         outcome = EqualityOutcome("unequal-within-bound")
         for cap in range(max(len(x), len(y)), bound + 1):
-            outcome = _bidirectional_search(equations, x, y, cap, node_budget)
+            outcome = _bidirectional_search(rules, x, y, cap, node_budget)
             if outcome.status != "unequal-within-bound":
                 return outcome
         return outcome
-    return _bidirectional_search(equations, x, y, bound, node_budget)
+    return _bidirectional_search(rules, x, y, bound, node_budget)
 
 
 @dataclass(frozen=True)
@@ -191,21 +233,6 @@ class DehnSample:
     space: int
     pairs_examined: int
     exhaustive: bool
-
-
-class _DisjointSet:
-    def __init__(self, size: int):
-        self.parent = list(range(size))
-        self.min_seed = [None] * size  # minimal seed length in each class
-
-    def find(self, i: int) -> int:
-        parent = self.parent
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
 
 
 def _all_words(letters, max_length: int) -> list[Word]:
@@ -218,33 +245,34 @@ def _all_words(letters, max_length: int) -> list[Word]:
 
 
 def _explore(equations, seeds, cap: int, node_budget: int):
-    """The relation graph reachable from ``seeds`` within the length cap."""
-    id_of: dict[Word, int] = {}
-    words: list[Word] = []
-    adj: list[list[int]] = []
-    queue = deque()
+    """The relation graph reachable from ``seeds`` within the length cap.
+
+    Returns ``(words, adj, id_of, exhausted)``.  Ids are assigned in
+    discovery order, the distinct seeds first (ids 0, 1, ... in seed
+    order), so walking ``words`` by index is a breadth-first search.
+    ``adj[i]`` is a tuple of neighbour ids, one per application in
+    :func:`_neighbors` order (repeats included); every edge is stored at
+    both ends.  Once ``node_budget`` words are known, new words are
+    dropped and ``exhausted`` is False.
+    """
+    rules = _directed(equations)
+    words = list(dict.fromkeys(seeds))
+    id_of = {w: i for i, w in enumerate(words)}
+    get = id_of.get
+    adj: list[tuple[int, ...]] = []
     exhausted = True
-    for seed in seeds:
-        if seed not in id_of:
-            id_of[seed] = len(words)
-            words.append(seed)
-            adj.append([])
-            queue.append(seed)
-    while queue:
-        w = queue.popleft()
-        wi = id_of[w]
-        for w2, _ in _neighbors(equations, w, cap):
-            j = id_of.get(w2)
+    for w in words:  # grows while it is walked
+        row = []
+        for w2 in _neighbors(rules, w, cap):
+            j = get(w2)
             if j is None:
                 if len(words) >= node_budget:
                     exhausted = False
                     continue
-                j = len(words)
-                id_of[w2] = j
+                j = id_of[w2] = len(words)
                 words.append(w2)
-                adj.append([])
-                queue.append(w2)
-            adj[wi].append(j)
+            row.append(j)
+        adj.append(tuple(row))
     return words, adj, id_of, exhausted
 
 
@@ -256,12 +284,19 @@ def dehn_table(presentation: "Presentation", n_max: int,
                max_exhaustive_n: int = MAX_EXHAUSTIVE_N) -> list[DehnSample]:
     """Measured Dehn and space values for n = 1..n_max.
 
-    All rows share one reachability graph capped at ``n_max + slack``,
-    which makes the measured values non-decreasing in n by construction.
-    Distances give the Dehn entries; a union-find sweep over ascending
-    word lengths gives, for every equal pair, the least length cap under
-    which the pair connects (the space entries).  Trivial pairs (x, x)
-    participate: their space requirement is |x|.
+    All rows share one reachability graph capped at ``n_max + slack``
+    (:func:`_explore`), which makes the measured values non-decreasing in n
+    by construction.  Two passes over it give the rows:
+
+    - a union-find sweep that activates words one length bucket at a time
+      gives, for every equal pair, the least length cap under which the
+      pair connects (the space entries); its final roots are the
+      connected components;
+    - a breadth-first search from each seed that has a later seed in its
+      component, stopped once all of them are reached, gives the
+      distances (the Dehn entries).
+
+    Trivial pairs (x, x) participate: their space requirement is |x|.
     """
     if n_max < 1:
         raise ValueError("n must be >= 1")
@@ -290,108 +325,95 @@ def dehn_table(presentation: "Presentation", n_max: int,
             picked.add("".join(rng.choice(letters) for _ in range(n)))
         seeds = sorted(picked, key=lambda w: (len(w), w))
 
+    # the seeds are distinct, so they hold ids 0..n_seeds-1
     words, adj, id_of, exhausted = _explore(equations, seeds, cap, node_budget)
-    seed_ids = sorted(id_of[s] for s in seeds)
-    seed_set = set(seed_ids)
+    n_seeds = len(seeds)
+    length = [len(w) for w in words]
+    del words, id_of  # only the lengths are needed from here on
+    size = len(length)
 
-    # connected components (relation edges are symmetric)
-    component = [-1] * len(words)
-    comp_members: list[list[int]] = []
-    for start in range(len(words)):
-        if component[start] != -1:
-            continue
-        comp = len(comp_members)
-        comp_members.append([start])
-        component[start] = comp
-        dq = deque([start])
-        while dq:
-            i = dq.popleft()
+    # space: activate words by ascending length (ids ascending within a
+    # length); an edge becomes usable when its later endpoint activates, so
+    # unioning on activation makes the activation length the exact minimax
+    # requirement for every pair the union newly connects.  min_seed[r] is
+    # the shortest seed length in root r's class (n_max + 1 for none), so
+    # t <= n_max exactly when both sides hold a seed.
+    parent = list(range(size))
+    min_seed = length[:n_seeds] + [n_max + 1] * (size - n_seeds)
+    active = bytearray(size)
+    space_at = [0] * (n_max + 1)
+    buckets: list[list[int]] = [[] for _ in range(cap + 1)]
+    for i, L in enumerate(length):
+        buckets[L].append(i)
+    for threshold, bucket in enumerate(buckets):
+        for i in bucket:
+            # i activates as its own root and stays the root of every
+            # class it absorbs
+            active[i] = 1
+            mi = min_seed[i]
             for j in adj[i]:
-                if component[j] == -1:
-                    component[j] = comp
-                    comp_members[comp].append(j)
-                    dq.append(j)
+                if not active[j]:
+                    continue
+                while parent[j] != j:  # find, with path halving
+                    parent[j] = j = parent[parent[j]]
+                if j == i:
+                    continue
+                mj = min_seed[j]
+                t = max(mi, mj)
+                if t <= n_max:  # thresholds only grow: the last one is the max
+                    space_at[t] = threshold
+                parent[j] = i
+                mi = min(mi, mj)
+            min_seed[i] = mi
+
+    # dehn: seeds grouped by final root, ascending ids within each class
+    classes: dict[int, list[int]] = {}
+    for u in range(n_seeds):
+        r = u
+        while parent[r] != r:
+            r = parent[r]
+        classes.setdefault(r, []).append(u)
 
     max_d_at = [0] * (n_max + 1)     # by threshold max(|x|, |y|)
     pairs_at = [0] * (n_max + 1)
-    dist = [-1] * len(words)
-    for members in comp_members:
-        member_seeds = [i for i in members if i in seed_set]
-        if len(member_seeds) < 2:
-            continue
-        for u in member_seeds:
-            lu = len(words[u])
-            for i in members:
-                dist[i] = -1
+    dist = [-1] * size
+    for members in classes.values():
+        for k, u in enumerate(members[:-1]):
+            lu = length[u]
+            todo = len(members) - 1 - k  # later seeds of u's class
             dist[u] = 0
-            dq = deque([u])
-            while dq:
-                i = dq.popleft()
+            reached = [u]  # the BFS queue, kept to reset dist afterwards
+            head = 0
+            while todo:
+                i = reached[head]
+                head += 1
+                d = dist[i] + 1
                 for j in adj[i]:
-                    if dist[j] == -1:
-                        dist[j] = dist[i] + 1
-                        dq.append(j)
-            for v in member_seeds:
-                if v <= u:
-                    continue
-                t = max(lu, len(words[v]))
-                if t <= n_max:
-                    pairs_at[t] += 1
-                    if dist[v] > max_d_at[t]:
-                        max_d_at[t] = dist[v]
+                    if dist[j] < 0:
+                        dist[j] = d
+                        reached.append(j)
+                        if u < j < n_seeds:
+                            todo -= 1
+                            t = max(lu, length[j])
+                            pairs_at[t] += 1
+                            if d > max_d_at[t]:
+                                max_d_at[t] = d
+            for i in reached:
+                dist[i] = -1
 
-    # space: activate nodes by ascending length; an edge becomes usable when
-    # its later endpoint activates, so unioning on activation makes the
-    # activation length the exact minimax requirement for every pair the
-    # union newly connects (recorded when both sides hold a seed <= n).
-    ds = _DisjointSet(len(words))
-    space_at = [0] * (n_max + 1)
-    order = sorted(range(len(words)), key=lambda i: (len(words[i]), i))
-    active = [False] * len(words)
-    for i in order:
-        threshold = len(words[i])
-        active[i] = True
-        if i in seed_set:
-            ds.min_seed[i] = threshold  # i is still its own root here
-        for j in adj[i]:
-            if not active[j]:
-                continue
-            ri, rj = ds.find(i), ds.find(j)
-            if ri == rj:
-                continue
-            mi, mj = ds.min_seed[ri], ds.min_seed[rj]
-            if mi is not None and mj is not None:
-                t = max(mi, mj)
-                if t <= n_max and threshold > space_at[t]:
-                    space_at[t] = threshold
-            ds.parent[rj] = ri
-            mins = [m for m in (mi, mj) if m is not None]
-            ds.min_seed[ri] = min(mins) if mins else None
-
-    seed_lengths = sorted(len(s) for s in seeds)
+    seed_lengths = set(length[:n_seeds])
     rows = []
-    running_d = running_sp = running_pairs = 0
+    running_d = running_sp = running_pairs = floor = 0
     for n in range(1, n_max + 1):
         running_d = max(running_d, max_d_at[n])
         running_sp = max(running_sp, space_at[n])
         running_pairs += pairs_at[n]
-        floor = max((L for L in seed_lengths if L <= n), default=0)
+        if n in seed_lengths:
+            floor = n
         rows.append(DehnSample(n, running_d, max(running_sp, floor),
                                running_pairs,
                                mode == "exhaustive" and exhausted))
     return rows
-
-
-def dehn_sample(presentation: "Presentation", n: int,
-                mode: str = "exhaustive", sample_count: Optional[int] = None,
-                slack: Optional[int] = None,
-                node_budget: int = DEFAULT_NODE_BUDGET,
-                seed: int = 0,
-                max_exhaustive_n: int = MAX_EXHAUSTIVE_N) -> DehnSample:
-    """The n-th row of :func:`dehn_table`."""
-    return dehn_table(presentation, n, mode=mode, sample_count=sample_count,
-                      slack=slack, node_budget=node_budget, seed=seed,
-                      max_exhaustive_n=max_exhaustive_n)[-1]
 
 
 def enumerate_elements(system: RewritingSystem, max_length: int,

@@ -153,6 +153,7 @@ def cmd_grid(args) -> int:
     ]
     rows = []
     hard_failure = False
+    truncated = []  # tuples whose Dehn table the node budget cut short
     for a in ranges[0]:
         for b in ranges[1]:
             for g in ranges[2]:
@@ -202,6 +203,8 @@ def cmd_grid(args) -> int:
                             family.one_relator_presentation(params), args.dehn_n,
                             node_budget=args.nodes)
                         row["dehn"] = [[s.n, s.dehn, s.space] for s in table]
+                        if not all(s.exhaustive for s in table):
+                            truncated.append((a, b, g, d))
                     rows.append((row, time.perf_counter() - t0))
     if args.json:
         _emit_json({"schema": SCHEMA_VERSION, "command": "grid",
@@ -218,6 +221,9 @@ def cmd_grid(args) -> int:
                         "length_non_increasing"):
                 if key in row:
                     fields.append(f"{key}={row[key]}")
+            if "dehn" in row:
+                _, dehn, space = row["dehn"][-1]
+                fields.append(f"dehn={dehn} space={space}")
             fields.append(f"{elapsed:.2f}s")
             print("  ".join(str(f) for f in fields))
         print(f"{len(rows)} tuples; hard failure: {hard_failure}")
@@ -225,7 +231,12 @@ def cmd_grid(args) -> int:
         payload = {"schema": SCHEMA_VERSION, "command": "grid", "checks": checks,
                    "rows": [r for r, _ in rows]}
         Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2))
-    return EXIT_CHECK_FAILED if hard_failure else EXIT_OK
+    if truncated:
+        print(f"budget exhausted: the {args.nodes}-node budget truncated the Dehn "
+              f"table of {', '.join(map(str, truncated))}", file=sys.stderr)
+    if hard_failure:
+        return EXIT_CHECK_FAILED
+    return EXIT_BUDGET if truncated else EXIT_OK
 
 
 def cmd_complete(args) -> int:

@@ -9,7 +9,7 @@ this choice only pins down traces and makes every run reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import permutations, product
 from typing import Mapping, Optional
@@ -49,6 +49,18 @@ class Certification(Enum):
     COMPLETE = "complete"
 
 
+def _letter_ranks(precedence) -> dict[str, int]:
+    """Letter ranks for :func:`_order_key`: the greatest letter ranks highest."""
+    return {c: -i for i, c in enumerate(precedence)}
+
+
+def _order_key(weights: Mapping[str, int], ranks: Mapping[str, int], word: Word):
+    """Weighted-shortlex sort key: total weight, then length, then the
+    letters' ranks left to right."""
+    return (sum(map(weights.__getitem__, word)), len(word),
+            tuple(map(ranks.__getitem__, word)))
+
+
 @dataclass(frozen=True)
 class ReductionOrder:
     """Weighted shortlex: total weight, then length, then leftmost letter.
@@ -61,6 +73,7 @@ class ReductionOrder:
 
     weights: Mapping[str, int]
     precedence: tuple[str, ...]
+    _ranks: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if set(self.weights) != set(self.precedence):
@@ -70,6 +83,7 @@ class ReductionOrder:
         for letter, w in self.weights.items():
             if w < 1:
                 raise ValueError(f"weight of {letter!r} must be >= 1, got {w}")
+        object.__setattr__(self, "_ranks", _letter_ranks(self.precedence))
 
     def weight(self, word: Word) -> int:
         w = self.weights
@@ -77,9 +91,8 @@ class ReductionOrder:
 
     def sort_key(self, word: Word):
         """A key that sorts words ascending in this order."""
-        rank = {c: -i for i, c in enumerate(self.precedence)}
         try:
-            return (sum(self.weights[c] for c in word), len(word), tuple(rank[c] for c in word))
+            return _order_key(self.weights, self._ranks, word)
         except KeyError as exc:
             raise KeyError(f"letter {exc.args[0]!r} missing from order") from None
 
@@ -280,17 +293,13 @@ def find_termination_order(system: RewritingSystem, max_weight: int = 8,
             caps[c] = max(caps.get(c, max_weight), cap)
     pairs = system.rule_pairs()
     for prec in permutations(letters):
-        rank = {c: -i for i, c in enumerate(prec)}
+        ranks = _letter_ranks(prec)
         for vec in product(*(range(1, caps[c] + 1) for c in letters)):
             weights = dict(zip(letters, vec))
-            ok = True
             for lhs, rhs in pairs:
-                kl = (sum(weights[c] for c in lhs), len(lhs), tuple(rank[c] for c in lhs))
-                kr = (sum(weights[c] for c in rhs), len(rhs), tuple(rank[c] for c in rhs))
-                if kl <= kr:
-                    ok = False
+                if _order_key(weights, ranks, lhs) <= _order_key(weights, ranks, rhs):
                     break
-            if ok:
+            else:
                 return ReductionOrder(weights, prec)
     return None
 

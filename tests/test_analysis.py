@@ -2,10 +2,11 @@ import random
 from collections import deque
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rewritekit as rk
 from rewritekit.analysis import (
-    dehn_sample,
+    DehnSample,
     dehn_table,
     enumerate_elements,
     equal_in_monoid,
@@ -169,11 +170,11 @@ class TestEqualInMonoid:
 class TestDehn:
     def test_no_short_equal_pairs(self, demo):
         _, pres, _ = demo
-        assert dehn_sample(pres, 1).dehn == 0
+        assert dehn_table(pres, 1)[-1].dehn == 0
 
     def test_relation_pair_counts(self, demo):
         _, pres, _ = demo
-        assert dehn_sample(pres, 7).dehn >= 1
+        assert dehn_table(pres, 7)[-1].dehn >= 1
 
     def test_free_monoid_has_trivial_dehn_and_space_n(self):
         pres = rk.Presentation(AB, ())
@@ -227,6 +228,138 @@ class TestDehn:
         for ra, re in zip(a, exhaustive):
             assert ra.dehn <= re.dehn and ra.space <= re.space
             assert not ra.exhaustive
+
+
+# Rows and certificates recorded before the graph layer was rewritten
+# around a word-only enumerator; the rewrite must reproduce them exactly.
+DEMO_ROWS_N8 = [(1, 0, 1, 0), (2, 0, 2, 0), (3, 0, 3, 0), (4, 0, 4, 0),
+                (5, 2, 11, 1), (6, 6, 18, 7), (7, 6, 19, 31), (8, 10, 20, 115)]
+DEMO_ROWS_N6_BUDGET_1000 = [(1, 0, 1, 0), (2, 0, 2, 0), (3, 0, 3, 0),
+                            (4, 0, 4, 0), (5, 2, 11, 1), (6, 2, 12, 5)]
+DEMO_ROWS_N8_RANDOM_200_SEED_4 = [(1, 0, 1, 0), (2, 0, 2, 0), (3, 0, 3, 0),
+                                  (4, 0, 4, 0), (5, 0, 5, 0), (6, 0, 6, 0),
+                                  (7, 0, 7, 0), (8, 3, 14, 3)]
+
+# <a,b | aa = a, ab = ba> and <a,b | ab = 1, ba = ab> have words joined by
+# more than one application (aaab -> aab at 0 or 1; ababab -> abab at 0, 2
+# or 4; abab -> ab at 0 or 2, a step the search takes from ab's side), so
+# these pin which application each step records.
+AA_AB = (("aa", "a"), ("ab", "ba"))
+AB_1 = (("ab", ""), ("ba", "ab"))
+GOLDEN_CERTIFICATES = [
+    # (equations (None: the demo), x, y, bound, minimize, chain, applications, d, s)
+    (None, "abbaabb", "b", 9, "steps", ("abbaabb", "b"), ((0, "lr", 0),), 1, 7),
+    (None, "abbab", "baabb", 40, "steps", ("abbab", "abbaabbaabb", "baabb"),
+     ((0, "rl", 4), (0, "lr", 0)), 2, 11),
+    (None, "abbab", "baabb", 40, "space", ("abbab", "abbaabbaabb", "baabb"),
+     ((0, "rl", 4), (0, "lr", 0)), 2, 11),
+    (AA_AB, "aaab", "ba", 6, "steps", ("aaab", "aab", "ab", "ba"),
+     ((0, "lr", 0), (0, "lr", 0), (1, "lr", 0)), 3, 4),
+    (AA_AB, "aabab", "abb", 7, "steps", ("aabab", "aaabb", "aabb", "abb"),
+     ((1, "rl", 2), (0, "lr", 0), (0, "lr", 0)), 3, 5),
+    (AA_AB, "aabab", "abb", 7, "space", ("aabab", "aaabb", "aabb", "abb"),
+     ((1, "rl", 2), (0, "lr", 0), (0, "lr", 0)), 3, 5),
+    (AA_AB, "abaab", "bba", 7, "steps", ("abaab", "baaab", "baab", "bab", "bba"),
+     ((1, "lr", 0), (0, "lr", 1), (0, "lr", 1), (1, "lr", 1)), 4, 5),
+    (AB_1, "abba", "bbaa", 6, "steps", ("abba", "baba", "bbaa"),
+     ((1, "rl", 0), (1, "rl", 1)), 2, 4),
+    (AB_1, "ababab", "ab", 6, "steps", ("ababab", "abab", "ab"),
+     ((0, "lr", 0), (0, "lr", 0)), 2, 6),
+    (AB_1, "babab", "b", 5, "space", ("babab", "bab", "b"),
+     ((0, "lr", 1), (0, "lr", 1)), 2, 5),
+    (AB_1, "bab", "b", 5, "steps", ("bab", "b"), ((0, "lr", 1),), 1, 3),
+]
+
+
+def _rows(table):
+    return [(r.n, r.dehn, r.space, r.pairs_examined) for r in table]
+
+
+class TestGolden:
+    def test_exhaustive_rows(self, demo):
+        _, pres, _ = demo
+        table = dehn_table(pres, 8)
+        assert _rows(table) == DEMO_ROWS_N8
+        assert all(r.exhaustive for r in table)
+
+    def test_truncated_rows(self, demo):
+        _, pres, _ = demo
+        table = dehn_table(pres, 6, node_budget=1000)
+        assert _rows(table) == DEMO_ROWS_N6_BUDGET_1000
+        assert not any(r.exhaustive for r in table)
+
+    def test_random_rows(self, demo):
+        _, pres, _ = demo
+        table = dehn_table(pres, 8, mode="random", sample_count=200, seed=4)
+        assert _rows(table) == DEMO_ROWS_N8_RANDOM_200_SEED_4
+
+    @pytest.mark.parametrize("equations, x, y, bound, minimize, chain, apps, d, s",
+                             GOLDEN_CERTIFICATES)
+    def test_certificates(self, demo, equations, x, y, bound, minimize,
+                          chain, apps, d, s):
+        pres = demo[1] if equations is None else rk.Presentation(AB, equations)
+        outcome = equal_in_monoid(pres, x, y, bound, minimize=minimize)
+        assert outcome.status == "equal"
+        cert = outcome.certificate
+        assert (cert.chain, cert.applications, cert.d, cert.s) == (chain, apps, d, s)
+        assert cert.replay(pres)
+
+
+def reference_dehn_rows(equations, n_max, cap):
+    """Exhaustive rows from first principles: a BFS per connected seed pair
+    for the distance, and components recomputed under every length cap for
+    the least cap joining the pair."""
+    seeds, frontier = [""], [""]
+    for _ in range(n_max):
+        frontier = [w + c for w in frontier for c in "ab"]
+        seeds += frontier
+    nodes, edges = bfs_graph(equations, seeds, cap)
+    by_node = {}
+    for a, b in edges:
+        by_node.setdefault(a, []).append(b)
+
+    def components(limit):
+        label = {}
+        for start in nodes:
+            if len(start) <= limit and start not in label:
+                label[start] = start
+                todo = [start]
+                while todo:
+                    w = todo.pop()
+                    for v in by_node.get(w, ()):
+                        if len(v) <= limit and v not in label:
+                            label[v] = start
+                            todo.append(v)
+        return label
+
+    labels = [components(limit) for limit in range(cap + 1)]
+    pairs = []  # (max length, distance, least cap)
+    for i, x in enumerate(seeds):
+        for y in seeds[i + 1:]:
+            d = bfs_distance(by_node, x, y)
+            if d is not None:
+                least = next(c for c, lab in enumerate(labels)
+                             if x in lab and y in lab and lab[x] == lab[y])
+                pairs.append((max(len(x), len(y)), d, least))
+    rows = []
+    for n in range(1, n_max + 1):
+        mine = [p for p in pairs if p[0] <= n]
+        rows.append(DehnSample(n, max((p[1] for p in mine), default=0),
+                               max([n] + [p[2] for p in mine]), len(mine), True))
+    return rows
+
+
+_side = st.lists(st.sampled_from("ab"), max_size=3).map("".join)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.tuples(_side, _side).filter(lambda e: e[0] != e[1]),
+                min_size=1, max_size=2),
+       st.integers(1, 4), st.integers(0, 3))
+def test_dehn_table_matches_per_pair_reference(equations, n, slack):
+    pres = rk.Presentation(AB, tuple(equations))
+    assert dehn_table(pres, n, slack=slack) == \
+        reference_dehn_rows(pres.equations, n, n + slack)
 
 
 class TestEnumerateElements:

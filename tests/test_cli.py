@@ -84,6 +84,15 @@ class TestExitCodes:
         assert "False" in captured.out
         assert captured.err.startswith("budget exhausted:")
 
+    def test_budget_exhaustion_on_truncated_grid_dehn_table(self, capsys):
+        assert cli.main(["grid", "--range", "1..1", "--checks", "dehn",
+                         "--dehn-n", "6", "--nodes", "100"]) == 3
+        captured = capsys.readouterr()
+        assert "dehn=" in captured.out and "space=" in captured.out
+        assert captured.err.startswith("budget exhausted:")
+        assert "(1, 1, 1, 1)" in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+
     def test_budget_exhaustion_on_tiny_oracle(self, pres_file, capsys):
         assert cli.main(["equal", "--presentation", pres_file, "ab^2", "b",
                          "--bound", "40", "--nodes", "10"]) == 3
