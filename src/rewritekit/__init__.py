@@ -59,12 +59,10 @@ from .rewrite import (
 )
 from .words import (
     Alphabet,
-    Overlap,
     Word,
     WordSyntaxError,
     alphabet,
     find_occurrences,
-    overlaps,
     parse_word,
     print_word,
 )

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .rewrite import Certification, RewritingSystem
-from .words import Word, find_occurrences
+from .words import Word, _shortlex_words, find_occurrences
 
 if TYPE_CHECKING:
     from .family import Presentation
@@ -235,15 +235,6 @@ class DehnSample:
     exhaustive: bool
 
 
-def _all_words(letters, max_length: int) -> list[Word]:
-    out = [""]
-    frontier = [""]
-    for _ in range(max_length):
-        frontier = [w + c for w in frontier for c in letters]
-        out.extend(frontier)
-    return out
-
-
 def _explore(equations, seeds, cap: int, node_budget: int):
     """The relation graph reachable from ``seeds`` within the length cap.
 
@@ -313,7 +304,7 @@ def dehn_table(presentation: "Presentation", n_max: int,
     cap = n_max + slack
 
     if mode == "exhaustive":
-        seeds = _all_words(presentation.alphabet.letters, n_max)
+        seeds = tuple(_shortlex_words(presentation.alphabet.letters, n_max))
     else:
         if not sample_count or sample_count < 1:
             raise ValueError("random mode needs a positive sample count")
@@ -429,17 +420,8 @@ def enumerate_elements(system: RewritingSystem, max_length: int,
     if system.certification != Certification.COMPLETE and not allow_uncertified:
         raise ValueError("system is not certified complete; "
                          "pass allow_uncertified=True to override")
-    lhss = [r.lhs for r in system.rules]
-    out = [""]
-    frontier = [""]
-    for _ in range(max_length):
-        new = []
-        for w in frontier:
-            for c in system.alphabet.letters:
-                w2 = w + c
-                if any(w2.endswith(l) for l in lhss):
-                    continue
-                new.append(w2)
-        out.extend(new)
-        frontier = new
-    return out
+    lhss = tuple(r.lhs for r in system.rules)
+    # a word is irreducible iff its longest proper prefix is and it ends
+    # with no lhs
+    return list(_shortlex_words(system.alphabet.letters, max_length,
+                                lambda w: w.endswith(lhss)))

@@ -13,6 +13,8 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import asdict
+from itertools import product
 from pathlib import Path
 from typing import Optional
 
@@ -44,6 +46,13 @@ def _certificate_dict(cert) -> Optional[dict]:
         return None
     return {"d": cert.d, "s": cert.s,
             "chain": [print_word(w) or "1" for w in cert.chain]}
+
+
+def _witness_dict(witness) -> dict:
+    return {"u": print_word(witness.u) or "1", "v": print_word(witness.v) or "1",
+            "u_normal_form": print_word(witness.u_normal_form) or "1",
+            "v_normal_form": print_word(witness.v_normal_form) or "1",
+            "image_normal_form": print_word(witness.image_normal_form) or "1"}
 
 
 def positive_int(text: str) -> int:
@@ -154,58 +163,52 @@ def cmd_grid(args) -> int:
     rows = []
     hard_failure = False
     truncated = []  # tuples whose Dehn table the node budget cut short
-    for a in ranges[0]:
-        for b in ranges[1]:
-            for g in ranges[2]:
-                for d in ranges[3]:
-                    t0 = time.perf_counter()
-                    tag, params = family.classify(a, b, g, d)
-                    row: dict = {"params": [a, b, g, d], "case": tag.variant.value}
-                    if "completeness" in checks:
-                        summary = family.certify_family_system(
-                            tag, params, max_weight=args.max_weight, fuel=args.fuel)
-                        row["certification"] = summary.certification.value
-                        row["locally_confluent"] = summary.locally_confluent
-                        row["order"] = str(summary.order) if summary.order else None
-                        if summary.empirical is not None:
-                            row["empirical_all_halted"] = summary.empirical.all_halted
-                        if not summary.locally_confluent:
-                            hard_failure = True
-                        system = summary.system
-                    else:
-                        system = family.build_system(tag, params)
-                    if "equivalence" in checks:
-                        x_def = (family.x_definition(params)
-                                 if "x" in system.alphabet else None)
-                        eq = family.verify_presentation_equivalence(
-                            family.one_relator_presentation(params), system, x_def,
-                            node_budget=args.nodes)
-                        row["equivalence"] = ("PASS" if eq.passed else
-                                              "inconclusive" if eq.inconclusive
-                                              else "FAIL")
-                        if row["equivalence"] == "FAIL":
-                            hard_failure = True
-                    if "probe" in checks:
-                        pres = (family.extended_presentation(params)
-                                if params.overlapping and tag.variant.value in
-                                ("Case3", "Case4")
-                                else family.one_relator_presentation(params))
-                        report = confluence.knuth_bendix(
-                            pres, family.probe_order(pres.alphabet),
-                            max_rules=args.max_rules, max_steps=args.max_steps)
-                        row["probe"] = report.outcome
-                        if report.completed:
-                            row["probe_rules"] = len(report.system.rules)
-                            row["length_non_increasing"] = \
-                                confluence.is_length_non_increasing(report.system)
-                    if "dehn" in checks:
-                        table = analysis.dehn_table(
-                            family.one_relator_presentation(params), args.dehn_n,
-                            node_budget=args.nodes)
-                        row["dehn"] = [[s.n, s.dehn, s.space] for s in table]
-                        if not all(s.exhaustive for s in table):
-                            truncated.append((a, b, g, d))
-                    rows.append((row, time.perf_counter() - t0))
+    for a, b, g, d in product(*ranges):
+        t0 = time.perf_counter()
+        tag, params = family.classify(a, b, g, d)
+        row: dict = {"params": [a, b, g, d], "case": tag.variant.value}
+        if "completeness" in checks:
+            summary = family.certify_family_system(
+                tag, params, max_weight=args.max_weight, fuel=args.fuel)
+            row["certification"] = summary.certification.value
+            row["locally_confluent"] = summary.locally_confluent
+            row["order"] = str(summary.order) if summary.order else None
+            if summary.empirical is not None:
+                row["empirical_all_halted"] = summary.empirical.all_halted
+            if not summary.locally_confluent:
+                hard_failure = True
+            system = summary.system
+        else:
+            system = family.build_system(tag, params)
+        if "equivalence" in checks:
+            x_def = family.x_definition(params) if "x" in system.alphabet else None
+            eq = family.verify_presentation_equivalence(
+                family.one_relator_presentation(params), system, x_def,
+                node_budget=args.nodes)
+            row["equivalence"] = ("PASS" if eq.passed else
+                                  "inconclusive" if eq.inconclusive else "FAIL")
+            if row["equivalence"] == "FAIL":
+                hard_failure = True
+        if "probe" in checks:
+            pres = (family.extended_presentation(params)
+                    if params.overlapping and tag.variant.value in ("Case3", "Case4")
+                    else family.one_relator_presentation(params))
+            report = confluence.knuth_bendix(
+                pres, family.probe_order(pres.alphabet),
+                max_rules=args.max_rules, max_steps=args.max_steps)
+            row["probe"] = report.outcome
+            if report.completed:
+                row["probe_rules"] = len(report.system.rules)
+                row["length_non_increasing"] = confluence.is_length_non_increasing(
+                    report.system)
+        if "dehn" in checks:
+            table = analysis.dehn_table(
+                family.one_relator_presentation(params), args.dehn_n,
+                node_budget=args.nodes)
+            row["dehn"] = [[s.n, s.dehn, s.space] for s in table]
+            if not all(s.exhaustive for s in table):
+                truncated.append((a, b, g, d))
+        rows.append((row, time.perf_counter() - t0))
     if args.json:
         _emit_json({"schema": SCHEMA_VERSION, "command": "grid",
                     "budgets": {"fuel": args.fuel, "max_weight": args.max_weight,
@@ -252,10 +255,7 @@ def cmd_complete(args) -> int:
                     "result": {
                         "outcome": report.outcome,
                         "system": _system_dict(report.system) if report.system else None,
-                        "stats": {"pairs_processed": report.stats.pairs_processed,
-                                  "rules_added": report.stats.rules_added,
-                                  "rules_removed": report.stats.rules_removed,
-                                  "steps": report.stats.steps},
+                        "stats": asdict(report.stats),
                     }})
     else:
         print(f"outcome: {report.outcome}")
@@ -310,9 +310,13 @@ def cmd_dehn(args) -> int:
     pres = _read_presentation(args.presentation)
     mode, count = "exhaustive", None
     if args.mode != "exhaustive":
+        bad_mode = ValueError(f"bad mode {args.mode!r}; expected exhaustive or random:COUNT")
         if not args.mode.startswith("random:"):
-            raise ValueError(f"bad mode {args.mode!r}; expected exhaustive or random:COUNT")
-        mode, count = "random", int(args.mode.split(":", 1)[1])
+            raise bad_mode
+        try:
+            mode, count = "random", int(args.mode[len("random:"):])
+        except ValueError:
+            raise bad_mode from None
     table = analysis.dehn_table(pres, args.n, mode=mode, sample_count=count,
                                 slack=args.slack, node_budget=args.nodes,
                                 seed=args.seed)
@@ -360,12 +364,7 @@ def cmd_endo(args) -> int:
         witness = endo.find_injectivity_violation(system, pres, phi,
                                                   args.noninjective_bound,
                                                   fuel=args.fuel)
-        result["witness"] = None if witness is None else {
-            "u": print_word(witness.u) or "1", "v": print_word(witness.v) or "1",
-            "u_normal_form": print_word(witness.u_normal_form) or "1",
-            "v_normal_form": print_word(witness.v_normal_form) or "1",
-            "image_normal_form": print_word(witness.image_normal_form) or "1",
-        }
+        result["witness"] = None if witness is None else _witness_dict(witness)
     if args.json:
         _emit_json({"schema": SCHEMA_VERSION, "command": "endo",
                     "budgets": {"fuel": args.fuel,
@@ -402,14 +401,8 @@ def cmd_hopf_demo(args) -> int:
                         "non_lift_map": str(report.non_lift_map),
                         "non_lift_normal_forms": [print_word(w)
                                                   for w in report.non_lift_normal_forms],
-                        "witness": {
-                            "u": print_word(report.witness.u),
-                            "v": print_word(report.witness.v),
-                            "u_normal_form": print_word(report.witness.u_normal_form),
-                            "v_normal_form": print_word(report.witness.v_normal_form),
-                            "image_normal_form": print_word(report.witness.image_normal_form),
-                            "found_at_bound": report.witness_bound,
-                        },
+                        "witness": {**_witness_dict(report.witness),
+                                    "found_at_bound": report.witness_bound},
                         "derived_witness": {
                             "u": print_word(report.derived_witness.u),
                             "v": print_word(report.derived_witness.v),
@@ -549,7 +542,7 @@ def main(argv=None) -> int:
     except FuelExhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except FileNotFoundError as exc:
+    except OSError as exc:  # unreadable input or unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

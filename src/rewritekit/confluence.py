@@ -3,14 +3,13 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from .rewrite import (
     DEFAULT_FUEL,
     Certification,
     GREATER,
-    LESS,
     ReductionOrder,
     Rule,
     RewritingSystem,

@@ -10,6 +10,7 @@ elements are compared through their normal forms under that system.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Mapping, Optional
 
 from .family import (
@@ -19,7 +20,7 @@ from .family import (
     one_relator_presentation,
 )
 from .rewrite import DEFAULT_FUEL, RewritingSystem, _reduce
-from .words import Word, print_word
+from .words import Word, _shortlex_words, print_word
 
 DEMO_EXPONENTS = (1, 2, 2, 2)
 
@@ -66,20 +67,10 @@ def apply_substitution(phi: EndomorphismSpec, w: Word) -> Word:
         raise ValueError(f"letter {exc.args[0]!r} has no image") from None
 
 
-class _NormalFormCache:
+def _normal_forms(system: RewritingSystem, fuel: int = DEFAULT_FUEL):
     """Memoized normal forms under a fixed system (hot path for searches)."""
-
-    def __init__(self, system: RewritingSystem, fuel: int = DEFAULT_FUEL):
-        self.pairs = system.rule_pairs()
-        self.fuel = fuel
-        self.cache: dict[Word, Word] = {}
-
-    def __call__(self, w: Word) -> Word:
-        nf = self.cache.get(w)
-        if nf is None:
-            nf = _reduce(self.pairs, w, self.fuel)
-            self.cache[w] = nf
-        return nf
+    pairs = system.rule_pairs()
+    return cache(lambda w: _reduce(pairs, w, fuel))
 
 
 @dataclass(frozen=True)
@@ -93,21 +84,12 @@ def check_lifts(system: RewritingSystem, presentation: Presentation,
     """phi extends to an endomorphism iff it sends each defining relation
     to a pair of words with a common normal form."""
     validate_endomorphism(phi, presentation)
-    nf = _NormalFormCache(system, fuel)
+    nf = _normal_forms(system, fuel)
     results = []
     for lhs, rhs in presentation.equations:
         results.append((nf(apply_substitution(phi, lhs)),
                         nf(apply_substitution(phi, rhs))))
     return LiftReport(all(a == b for a, b in results), tuple(results))
-
-
-def _generator_words(letters, bound: int):
-    """Words over the generators in shortlex order, lengths 0..bound."""
-    frontier = [""]
-    yield ""
-    for _ in range(bound):
-        frontier = [w + c for w in frontier for c in letters]
-        yield from frontier
 
 
 def surjectivity_evidence(system: RewritingSystem, presentation: Presentation,
@@ -118,11 +100,11 @@ def surjectivity_evidence(system: RewritingSystem, presentation: Presentation,
     A complete table witnesses surjectivity: if every generator has a
     preimage, the image of phi generates the whole monoid.
     """
-    nf = _NormalFormCache(system, fuel)
+    nf = _normal_forms(system, fuel)
     targets = {g: nf(g) for g in presentation.alphabet.letters}
     found: dict[str, Optional[Word]] = {g: None for g in targets}
     remaining = set(targets)
-    for u in _generator_words(presentation.alphabet.letters, bound):
+    for u in _shortlex_words(presentation.alphabet.letters, bound):
         if not remaining:
             break
         image_nf = nf(apply_substitution(phi, u))
@@ -145,7 +127,7 @@ class InjectivityWitness:
 
     def revalidate(self, system: RewritingSystem, phi: EndomorphismSpec,
                    fuel: int = DEFAULT_FUEL) -> bool:
-        nf = _NormalFormCache(system, fuel)
+        nf = _normal_forms(system, fuel)
         return (nf(self.u) == self.u_normal_form
                 and nf(self.v) == self.v_normal_form
                 and self.u_normal_form != self.v_normal_form
@@ -159,9 +141,9 @@ def find_injectivity_violation(system: RewritingSystem, presentation: Presentati
     """Scan generator words in shortlex order, bucketing elements by the
     normal form of their image; the first bucket collision between two
     distinct elements is returned."""
-    nf = _NormalFormCache(system, fuel)
+    nf = _normal_forms(system, fuel)
     by_image: dict[Word, dict[Word, Word]] = {}
-    for w in _generator_words(presentation.alphabet.letters, bound):
+    for w in _shortlex_words(presentation.alphabet.letters, bound):
         own = nf(w)
         image = nf(apply_substitution(phi, w))
         bucket = by_image.setdefault(image, {})
@@ -220,7 +202,7 @@ def hopf_demo(fuel: int = DEFAULT_FUEL) -> HopfReport:
     if psi_report.lifts or psi_pair != ("xxxbaxxxb", "xxb"):
         raise AssertionError(f"unexpected normal forms for the inverse probe: {psi_pair}")
 
-    nf = _NormalFormCache(system, fuel)
+    nf = _normal_forms(system, fuel)
     derived_u = apply_substitution(psi, params.relator)
     derived_v = apply_substitution(psi, "b")
     derived = InjectivityWitness(derived_v, derived_u, nf(derived_v), nf(derived_u),

@@ -20,15 +20,15 @@ from .confluence import check_local_confluence
 from .rewrite import (
     DEFAULT_FUEL,
     Certification,
+    FuelExhausted,
     ReductionOrder,
     Rule,
     RewritingSystem,
-    _leftmost_match,
     _reduce,
     find_termination_order,
     verify_termination,
 )
-from .words import Alphabet, Word, alphabet, parse_word, print_word
+from .words import Alphabet, Word, _parse_pair_file, alphabet, print_word
 
 AB = alphabet("ab")
 ABX = alphabet("abx")
@@ -91,19 +91,9 @@ class Presentation:
 
 def parse_presentation_file(text: str) -> Presentation:
     """Parse the presentation file format: a letters: line, then lhs = rhs lines."""
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("letters:"):
-        raise ValueError("presentation file must start with a 'letters:' line")
-    alpha = Alphabet(tuple(lines[0].split(":", 1)[1].split()))
-    equations = []
-    for ln in lines[1:]:
-        if "=" not in ln:
-            raise ValueError(f"bad equation line {ln!r}")
-        lhs_text, rhs_text = ln.split("=", 1)
-        equations.append((parse_word(lhs_text.strip(), alpha),
-                          parse_word(rhs_text.strip(), alpha)))
-    return Presentation(alpha, tuple(equations))
+    alpha, equations = _parse_pair_file(text, "presentation", "equation", "=",
+                                        lambda lhs, rhs: (lhs, rhs))
+    return Presentation(alpha, equations)
 
 
 def format_presentation_file(presentation: Presentation) -> str:
@@ -392,18 +382,13 @@ def empirical_termination_probe(system: RewritingSystem, samples: int = 200,
     for _ in range(samples):
         n = rng.randint(0, max_length)
         w = "".join(rng.choice(letters) for _ in range(n))
-        steps = 0
-        while True:
-            pos, idx = _leftmost_match(pairs, w)
-            if pos == -1:
-                break
-            if steps >= step_budget:
-                return EmpiricalTermination(samples, max_length, step_budget,
-                                            False, step_budget)
-            lhs, rhs = pairs[idx]
-            w = w[:pos] + rhs + w[pos + len(lhs):]
-            steps += 1
-        max_seen = max(max_seen, steps)
+        steps: list = []
+        try:
+            _reduce(pairs, w, step_budget, steps)
+        except FuelExhausted:
+            return EmpiricalTermination(samples, max_length, step_budget,
+                                        False, step_budget)
+        max_seen = max(max_seen, len(steps))
     return EmpiricalTermination(samples, max_length, step_budget, True, max_seen)
 
 

@@ -14,7 +14,7 @@ from enum import Enum
 from itertools import permutations, product
 from typing import Mapping, Optional
 
-from .words import Alphabet, Word, parse_word, print_word
+from .words import Alphabet, Word, _parse_pair_file, print_word
 
 LESS, EQUAL, GREATER = -1, 0, 1
 
@@ -182,8 +182,9 @@ def rewrite_step(system: RewritingSystem, w: Word) -> Optional[tuple[Word, int, 
     return w[:pos] + rhs + w[pos + len(lhs):], idx, pos
 
 
-def _reduce(pairs, w: Word, fuel: int) -> Word:
-    """Normal form of ``w`` without building a trace (hot path)."""
+def _reduce(pairs, w: Word, fuel: int, trace: Optional[list] = None) -> Word:
+    """Normal form of ``w``: the one reduction loop.  When ``trace`` is
+    given, each step appends ``(rule index, position, word after)`` to it."""
     steps = 0
     while True:
         pos, idx = _leftmost_match(pairs, w)
@@ -194,6 +195,8 @@ def _reduce(pairs, w: Word, fuel: int) -> Word:
         lhs, rhs = pairs[idx]
         w = w[:pos] + rhs + w[pos + len(lhs):]
         steps += 1
+        if trace is not None:
+            trace.append((idx, pos, w))
 
 
 @dataclass(frozen=True)
@@ -220,17 +223,9 @@ def normal_form(system: RewritingSystem, w: Word,
     """Reduce ``w`` until no rule applies; deterministic leftmost strategy."""
     if fuel < 1:
         raise ValueError("fuel must be >= 1")
-    pairs = system.rule_pairs()
     steps: list[tuple[int, int, Word]] = []
-    while True:
-        pos, idx = _leftmost_match(pairs, w)
-        if pos == -1:
-            return w, ReductionTrace(tuple(steps))
-        if len(steps) >= fuel:
-            raise FuelExhausted(f"no normal form within {fuel} steps (at {print_word(w)})")
-        lhs, rhs = pairs[idx]
-        w = w[:pos] + rhs + w[pos + len(lhs):]
-        steps.append((idx, pos, w))
+    nf = _reduce(system.rule_pairs(), w, fuel, steps)
+    return nf, ReductionTrace(tuple(steps))
 
 
 @dataclass(frozen=True)
@@ -311,19 +306,8 @@ def parse_system_file(text: str) -> RewritingSystem:
         ax^2b -> x
         ab -> x^2
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("letters:"):
-        raise ValueError("system file must start with a 'letters:' line")
-    alpha = Alphabet(tuple(lines[0].split(":", 1)[1].split()))
-    rules = []
-    for ln in lines[1:]:
-        if "->" not in ln:
-            raise ValueError(f"bad rule line {ln!r}")
-        lhs_text, rhs_text = ln.split("->", 1)
-        rules.append(Rule(parse_word(lhs_text.strip(), alpha),
-                          parse_word(rhs_text.strip(), alpha)))
-    return RewritingSystem(alpha, tuple(rules))
+    alpha, rules = _parse_pair_file(text, "system", "rule", "->", Rule)
+    return RewritingSystem(alpha, rules)
 
 
 def format_system_file(system: RewritingSystem) -> str:

@@ -97,6 +97,29 @@ def parse_word(text: str, alpha: Alphabet) -> Word:
     return "".join(out)
 
 
+def _parse_pair_file(text: str, kind: str, item: str, sep: str, make):
+    """Read the layout shared by system and presentation files.
+
+    Blank lines and ``#`` comments are skipped; the first line is
+    ``letters: ...`` and every other line is ``lhs <sep> rhs``.  Each line
+    becomes ``make(lhs, rhs)``; ``kind`` and ``item`` name the file and its
+    lines in error messages.  Returns ``(alphabet, items)``.
+    """
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines or not lines[0].startswith("letters:"):
+        raise ValueError(f"{kind} file must start with a 'letters:' line")
+    alpha = Alphabet(tuple(lines[0].split(":", 1)[1].split()))
+    items = []
+    for ln in lines[1:]:
+        if sep not in ln:
+            raise ValueError(f"bad {item} line {ln!r}")
+        lhs_text, rhs_text = ln.split(sep, 1)
+        items.append(make(parse_word(lhs_text.strip(), alpha),
+                          parse_word(rhs_text.strip(), alpha)))
+    return alpha, tuple(items)
+
+
 def print_word(word: Word) -> str:
     """Compress runs of a word into ``^`` notation, e.g. ``xxb`` -> ``x^2b``."""
     parts: list[str] = []
@@ -123,30 +146,14 @@ def find_occurrences(haystack: Word, needle: Word) -> list[int]:
     return out
 
 
-@dataclass(frozen=True)
-class Overlap:
-    """How two words share letters.
-
-    ``kind`` is ``"suffix_prefix"`` (``at`` = overlap length t, with the
-    length-t suffix of u equal to the length-t prefix of v, 0 < t <
-    min(|u|,|v|)) or ``"containment"`` (``at`` = start of an occurrence of
-    v strictly inside u, touching neither end).
-    """
-
-    kind: str
-    at: int
-
-
-def overlaps(u: Word, v: Word) -> list[Overlap]:
-    """Proper suffix-prefix overlaps of u with v, plus strict containments of v in u."""
-    if not u or not v:
-        raise ValueError("overlaps of empty words are not defined")
-    found: list[Overlap] = []
-    for t in range(1, min(len(u), len(v))):
-        if u[len(u) - t :] == v[:t]:
-            found.append(Overlap("suffix_prefix", t))
-    if len(v) < len(u):
-        for p in find_occurrences(u, v):
-            if 0 < p and p + len(v) < len(u):
-                found.append(Overlap("containment", p))
-    return found
+def _shortlex_words(letters, max_length: int, prune=None):
+    """Words over ``letters`` of length 0..max_length in shortlex order
+    (shorter first, then by letter position).  A word for which
+    ``prune(word)`` is true is skipped together with all its extensions."""
+    frontier = [""]
+    for length in range(max_length + 1):
+        if length:
+            frontier = [w + c for w in frontier for c in letters]
+        if prune is not None:
+            frontier = [w for w in frontier if not prune(w)]
+        yield from frontier

@@ -77,6 +77,22 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["equal", "--presentation", "{dir}", "ab", "b"],
+        ["build", "--params", "1", "2", "2", "2", "--out", "{dir}"],
+    ])
+    def test_usage_error_on_unusable_path(self, argv, tmp_path, capsys):
+        # a directory where a file is expected is an OSError, not a crash
+        assert cli.main([a.format(dir=tmp_path) for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("mode", ["random:x", "random:", "sampled:5"])
+    def test_usage_error_on_bad_dehn_mode(self, mode, pres_file, capsys):
+        assert cli.main(["dehn", "--presentation", pres_file, "--n", "4",
+                         "--mode", mode]) == 2
+        assert capsys.readouterr().err == (
+            f"error: bad mode {mode!r}; expected exhaustive or random:COUNT\n")
+
     def test_budget_exhaustion_on_truncated_dehn_table(self, pres_file, capsys):
         assert cli.main(["dehn", "--presentation", pres_file, "--n", "6",
                          "--nodes", "1000"]) == 3

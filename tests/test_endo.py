@@ -145,9 +145,9 @@ class TestInjectivityViolation:
         system, pres, params = demo
         u = apply_substitution(PSI, "b")            # ab^2
         v = apply_substitution(PSI, params.relator)  # 15-letter word
-        from rewritekit.endo import InjectivityWitness, _NormalFormCache
+        from rewritekit.endo import InjectivityWitness, _normal_forms
 
-        nf = _NormalFormCache(system)
+        nf = _normal_forms(system)
         witness = InjectivityWitness(u, v, nf(u), nf(v), nf(apply_substitution(PHI, u)))
         assert witness.revalidate(system, PHI)
         assert {witness.u_normal_form, witness.v_normal_form} == {"xxb", "xxxbaxxxb"}
@@ -168,9 +168,9 @@ class TestHopfDemo:
         # phi . psi is the identity on both generators as monoid elements
         report = hopf_demo()
         system = report.system
-        from rewritekit.endo import _NormalFormCache
+        from rewritekit.endo import _normal_forms
 
-        nf = _NormalFormCache(system)
+        nf = _normal_forms(system)
         for g in "ab":
             image = apply_substitution(PHI, apply_substitution(PSI, g))
             assert nf(image) == nf(g)

@@ -1,14 +1,14 @@
+import itertools
 import random
 
 import pytest
 
+from rewritekit.confluence import _pairs_for_rules
 from rewritekit.words import (
     Alphabet,
-    Overlap,
     WordSyntaxError,
     alphabet,
     find_occurrences,
-    overlaps,
     parse_word,
     print_word,
 )
@@ -106,49 +106,32 @@ class TestFindOccurrences:
 
 
 class TestOverlaps:
+    """Overlaps as the one overlap finder, ``confluence._pairs_for_rules``,
+    turns them into critical pairs."""
+
+    @staticmethod
+    def found(rules):
+        return [(cp.source, cp.kind, cp.pos_j) for cp in _pairs_for_rules(rules)]
+
     def test_self_overlap(self):
-        assert overlaps("abab", "abab") == [Overlap("suffix_prefix", 2)]
+        # abab overlaps itself in ab: the staircase ababab
+        assert self.found([("abab", "b")]) == [("ababab", "suffix_prefix", 2)]
 
     def test_no_self_overlap(self):
-        assert overlaps("ababb", "ababb") == []
-
-    def test_no_shared_boundary(self):
-        assert overlaps("ab", "b") == []
-        assert overlaps("ab", "aa") == []
+        assert self.found([("ababb", "b")]) == []
 
     def test_one_letter_staircase(self):
         # suffix "b" of ab equals prefix "b" of ba: the word aba reduces two ways
-        assert overlaps("ab", "ba") == [Overlap("suffix_prefix", 1)]
+        assert ("aba", "suffix_prefix", 1) in self.found([("ab", "a"), ("ba", "b")])
 
     def test_interior_containment(self):
-        assert Overlap("containment", 1) in overlaps("aba", "b")
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            overlaps("", "a")
-
-    def test_exhaustive_scan_agreement(self):
-        rng = random.Random(13)
-        for _ in range(300):
-            u = "".join(rng.choice("ab") for _ in range(rng.randint(1, 8)))
-            v = "".join(rng.choice("ab") for _ in range(rng.randint(1, 8)))
-            expected = [Overlap("suffix_prefix", t)
-                        for t in range(1, min(len(u), len(v)))
-                        if u[len(u) - t:] == v[:t]]
-            if len(v) < len(u):
-                expected += [Overlap("containment", p)
-                             for p in naive_occurrences(u, v)
-                             if 0 < p and p + len(v) < len(u)]
-            assert overlaps(u, v) == expected
+        assert ("aba", "containment", 1) in self.found([("aba", "a"), ("b", "a")])
 
     def test_relator_self_overlap_matches_classification(self):
         # a^A b^B a^C b^D overlaps itself iff B >= D and C >= A
         from rewritekit import Case, classify
 
-        for a in range(1, 5):
-            for b in range(1, 5):
-                for g in range(1, 5):
-                    for d in range(1, 5):
-                        tag, params = classify(a, b, g, d)
-                        has_overlap = bool(overlaps(params.relator, params.relator))
-                        assert has_overlap == (tag.variant != Case.NO_OVERLAP)
+        for a, b, g, d in itertools.product(range(1, 5), repeat=4):
+            tag, params = classify(a, b, g, d)
+            has_overlap = bool(_pairs_for_rules([(params.relator, "b")]))
+            assert has_overlap == (tag.variant != Case.NO_OVERLAP)
