@@ -1,13 +1,16 @@
-"""Golden JSON reports: a fixed command set whose stdout and exit code
-must stay byte-for-byte the same.
+"""Golden reports: a fixed command set whose stdout and exit code must
+stay byte-for-byte the same, with and without ``--json``.
 
-Each ``tests/golden/<name>.json`` holds the exact stdout of one command.
+Each ``tests/golden/<name>.json`` holds the exact stdout of one command,
+and ``tests/golden/<name>.txt`` the stdout of the same command run without
+``--json``, with per-row timings (``grid``'s ``0.12s`` column) masked.
 To re-record after an intended output change, run
 ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
 import contextlib
 import io
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -59,6 +62,12 @@ def _run(argv, files) -> tuple[int, str]:
     return code, out.getvalue()
 
 
+def _run_text(argv, files) -> tuple[int, str]:
+    """Run ``argv`` without ``--json``; timings are masked as ``T.TTs``."""
+    code, stdout = _run([a for a in argv if a != "--json"], files)
+    return code, re.sub(r"\b\d+\.\d\ds\b", "T.TTs", stdout)
+
+
 @pytest.fixture(scope="module")
 def demo_files(tmp_path_factory):
     return _demo_files(tmp_path_factory.mktemp("golden"))
@@ -72,12 +81,21 @@ def test_golden_report(name, demo_files):
     assert stdout == (GOLDEN / f"{name}.json").read_text()
 
 
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_golden_text_report(name, demo_files):
+    argv, expected_code = COMMANDS[name]
+    code, stdout = _run_text(argv, demo_files)
+    assert code == expected_code
+    assert stdout == (GOLDEN / f"{name}.txt").read_text()
+
+
 if __name__ == "__main__":  # re-record every golden file
     with tempfile.TemporaryDirectory() as tmp:
         files = _demo_files(Path(tmp))
         GOLDEN.mkdir(exist_ok=True)
         for name, (argv, expected_code) in sorted(COMMANDS.items()):
-            code, stdout = _run(argv, files)
-            (GOLDEN / f"{name}.json").write_text(stdout)
-            flag = "" if code == expected_code else f" (expected {expected_code})"
-            print(f"{name}: exit {code}{flag}", file=sys.stderr)
+            for suffix, run in ((".json", _run), (".txt", _run_text)):
+                code, stdout = run(argv, files)
+                (GOLDEN / f"{name}{suffix}").write_text(stdout)
+                flag = "" if code == expected_code else f" (expected {expected_code})"
+                print(f"{name}{suffix}: exit {code}{flag}", file=sys.stderr)
