@@ -271,8 +271,7 @@ def dehn_table(presentation: "Presentation", n_max: int,
                mode: str = "exhaustive", sample_count: Optional[int] = None,
                slack: Optional[int] = None,
                node_budget: int = DEFAULT_NODE_BUDGET,
-               seed: int = 0,
-               max_exhaustive_n: int = MAX_EXHAUSTIVE_N) -> list[DehnSample]:
+               seed: int = 0) -> list[DehnSample]:
     """Measured Dehn and space values for n = 1..n_max.
 
     All rows share one reachability graph capped at ``n_max + slack``
@@ -293,8 +292,8 @@ def dehn_table(presentation: "Presentation", n_max: int,
         raise ValueError("n must be >= 1")
     if mode not in ("exhaustive", "random"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exhaustive" and n_max > max_exhaustive_n:
-        raise ValueError(f"exhaustive mode is capped at n = {max_exhaustive_n}; "
+    if mode == "exhaustive" and n_max > MAX_EXHAUSTIVE_N:
+        raise ValueError(f"exhaustive mode is capped at n = {MAX_EXHAUSTIVE_N}; "
                          "use random sampling for larger n")
     equations = presentation.equations
     if slack is None:

@@ -20,39 +20,45 @@ from typing import Optional
 
 from . import analysis, confluence, endo, family, rewrite
 from .rewrite import FuelExhausted, ReductionOrder, RewritingSystem
-from .words import WordSyntaxError, parse_word, print_word
+from .words import Word, WordSyntaxError, parse_word, print_word
 
 SCHEMA_VERSION = 1
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True, indent=2))
+def _word(w: Word) -> str:
+    """How every report prints a word: the identity prints as ``1``."""
+    return print_word(w) or "1"
 
 
-def _system_dict(system: RewritingSystem) -> dict:
+def _preimages(table) -> dict:
+    return {g: None if w is None else _word(w) for g, w in table.items()}
+
+
+def _system(system: RewritingSystem) -> dict:
     return {
         "letters": list(system.alphabet.letters),
-        "rules": [{"lhs": print_word(r.lhs), "rhs": print_word(r.rhs)}
-                  for r in system.rules],
+        "rules": [{"lhs": _word(r.lhs), "rhs": _word(r.rhs)} for r in system.rules],
         "certification": system.certification.value,
         "order": str(system.order) if system.order else None,
     }
 
 
-def _certificate_dict(cert) -> Optional[dict]:
+def _certificate(cert) -> Optional[dict]:
     if cert is None:
         return None
-    return {"d": cert.d, "s": cert.s,
-            "chain": [print_word(w) or "1" for w in cert.chain]}
+    return {"d": cert.d, "s": cert.s, "chain": [_word(w) for w in cert.chain]}
 
 
-def _witness_dict(witness) -> dict:
-    return {"u": print_word(witness.u) or "1", "v": print_word(witness.v) or "1",
-            "u_normal_form": print_word(witness.u_normal_form) or "1",
-            "v_normal_form": print_word(witness.v_normal_form) or "1",
-            "image_normal_form": print_word(witness.image_normal_form) or "1"}
+def _witness(witness) -> dict:
+    return {key: _word(w) for key, w in asdict(witness).items()}
+
+
+def _report(args, budgets: dict, **fields) -> str:
+    """The JSON report envelope shared by every command."""
+    return json.dumps({"schema": SCHEMA_VERSION, "command": args.command,
+                       "budgets": budgets, **fields}, sort_keys=True, indent=2)
 
 
 def positive_int(text: str) -> int:
@@ -80,62 +86,53 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _default_order(alphabet) -> ReductionOrder:
-    return ReductionOrder({c: 1 for c in alphabet.letters}, tuple(alphabet.letters))
-
-
 def _read_presentation(path: str) -> family.Presentation:
     return family.parse_presentation_file(Path(path).read_text())
 
 
-def _read_system(path: str) -> RewritingSystem:
-    return rewrite.parse_system_file(Path(path).read_text())
+def _certify(args, exponents) -> family.CertificationSummary:
+    tag, params = family.classify(*exponents)
+    return family.certify_family_system(tag, params, max_weight=args.max_weight,
+                                        fuel=args.fuel)
+
+
+def _equivalence(args, params, system: RewritingSystem) -> family.EquivalenceReport:
+    x_def = family.x_definition(params) if family.AUX_LETTER in system.alphabet else None
+    return family.verify_presentation_equivalence(
+        family.one_relator_presentation(params), system, x_def,
+        node_budget=args.nodes, fuel=args.fuel)
 
 
 def cmd_build(args) -> int:
-    tag, params = family.classify(*args.params)
-    summary = family.certify_family_system(tag, params, max_weight=args.max_weight,
-                                           fuel=args.fuel)
-    system = summary.system
+    summary = _certify(args, args.params)
+    tag, system, empirical = summary.tag, summary.system, summary.empirical
     result = {
         "params": list(args.params),
         "case": tag.variant.value,
         "extra_rule": tag.extra_rule,
-        "system": _system_dict(system),
+        "system": _system(system),
     }
     failed = False
     if args.verify:
-        if not summary.locally_confluent:
-            failed = True
+        eq = _equivalence(args, summary.params, system)
         result["locally_confluent"] = summary.locally_confluent
-        if summary.empirical is not None:
+        if empirical is not None:
             result["empirical_termination"] = {
-                "samples": summary.empirical.samples,
-                "max_length": summary.empirical.max_length,
-                "step_budget": summary.empirical.step_budget,
-                "all_halted": summary.empirical.all_halted,
-            }
-            failed = failed or not summary.empirical.all_halted
-        elif summary.order is None:
-            failed = True
-        x_def = family.x_definition(params) if "x" in system.alphabet else None
-        eq = family.verify_presentation_equivalence(
-            family.one_relator_presentation(params), system, x_def,
-            node_budget=args.nodes)
+                key: value for key, value in asdict(empirical).items()
+                if key != "max_steps_seen"}
         result["equivalence"] = {
             "passed": eq.passed,
             "rules": [{"rule": i.rule_index, "status": i.status, "d": i.d, "s": i.s}
                       for i in eq.rule_results],
-            "relator_normal_form": print_word(eq.relator_normal_form) or "1",
+            "relator_normal_form": _word(eq.relator_normal_form),
         }
-        failed = failed or not eq.passed
+        terminates = empirical.all_halted if empirical else summary.order is not None
+        failed = not (summary.locally_confluent and terminates and eq.passed)
     if args.out:
         Path(args.out).write_text(rewrite.format_system_file(system))
     if args.json:
-        _emit_json({"schema": SCHEMA_VERSION, "command": "build",
-                    "budgets": {"fuel": args.fuel, "max_weight": args.max_weight,
-                                "oracle_nodes": args.nodes},
-                    "result": result})
+        print(_report(args, {"fuel": args.fuel, "max_weight": args.max_weight,
+                             "oracle_nodes": args.nodes}, result=result))
     else:
         print(f"case {tag.variant.value} for a^{args.params[0]} b^{args.params[1]} "
               f"a^{args.params[2]} b^{args.params[3]} = b")
@@ -154,44 +151,32 @@ def cmd_grid(args) -> int:
     for c in checks:
         if c not in known:
             raise ValueError(f"unknown check {c!r}; known: {sorted(known)}")
-    ranges = [
-        _parse_range(args.alpha if args.alpha else args.range),
-        _parse_range(args.beta if args.beta else args.range),
-        _parse_range(args.gamma if args.gamma else args.range),
-        _parse_range(args.delta if args.delta else args.range),
-    ]
+    ranges = [_parse_range(getattr(args, name) or args.range)
+              for name in ("alpha", "beta", "gamma", "delta")]
     rows = []
-    hard_failure = False
     truncated = []  # tuples whose Dehn table the node budget cut short
-    for a, b, g, d in product(*ranges):
+    for exponents in product(*ranges):
         t0 = time.perf_counter()
-        tag, params = family.classify(a, b, g, d)
-        row: dict = {"params": [a, b, g, d], "case": tag.variant.value}
+        row: dict = {"params": list(exponents)}
         if "completeness" in checks:
-            summary = family.certify_family_system(
-                tag, params, max_weight=args.max_weight, fuel=args.fuel)
+            summary = _certify(args, exponents)
+            tag, params, system = summary.tag, summary.params, summary.system
             row["certification"] = summary.certification.value
             row["locally_confluent"] = summary.locally_confluent
             row["order"] = str(summary.order) if summary.order else None
             if summary.empirical is not None:
                 row["empirical_all_halted"] = summary.empirical.all_halted
-            if not summary.locally_confluent:
-                hard_failure = True
-            system = summary.system
         else:
+            tag, params = family.classify(*exponents)
             system = family.build_system(tag, params)
+        row["case"] = tag.variant.value
         if "equivalence" in checks:
-            x_def = family.x_definition(params) if "x" in system.alphabet else None
-            eq = family.verify_presentation_equivalence(
-                family.one_relator_presentation(params), system, x_def,
-                node_budget=args.nodes)
+            eq = _equivalence(args, params, system)
             row["equivalence"] = ("PASS" if eq.passed else
                                   "inconclusive" if eq.inconclusive else "FAIL")
-            if row["equivalence"] == "FAIL":
-                hard_failure = True
         if "probe" in checks:
             pres = (family.extended_presentation(params)
-                    if params.overlapping and tag.variant.value in ("Case3", "Case4")
+                    if tag.variant in (family.Case.CASE3, family.Case.CASE4)
                     else family.one_relator_presentation(params))
             report = confluence.knuth_bendix(
                 pres, family.probe_order(pres.alphabet),
@@ -207,16 +192,16 @@ def cmd_grid(args) -> int:
                 node_budget=args.nodes)
             row["dehn"] = [[s.n, s.dehn, s.space] for s in table]
             if not all(s.exhaustive for s in table):
-                truncated.append((a, b, g, d))
+                truncated.append(exponents)
         rows.append((row, time.perf_counter() - t0))
+    hard_failure = any(row.get("locally_confluent") is False
+                       or row.get("equivalence") == "FAIL" for row, _ in rows)
+    payload = _report(args, {"fuel": args.fuel, "max_weight": args.max_weight,
+                             "oracle_nodes": args.nodes, "max_rules": args.max_rules,
+                             "max_steps": args.max_steps},
+                      checks=checks, rows=[r for r, _ in rows])
     if args.json:
-        _emit_json({"schema": SCHEMA_VERSION, "command": "grid",
-                    "budgets": {"fuel": args.fuel, "max_weight": args.max_weight,
-                                "oracle_nodes": args.nodes,
-                                "max_rules": args.max_rules,
-                                "max_steps": args.max_steps},
-                    "checks": checks,
-                    "rows": [r for r, _ in rows]})
+        print(payload)
     else:
         for row, elapsed in rows:
             fields = [f"{tuple(row['params'])}", f"{row['case']:9}"]
@@ -231,9 +216,7 @@ def cmd_grid(args) -> int:
             print("  ".join(str(f) for f in fields))
         print(f"{len(rows)} tuples; hard failure: {hard_failure}")
     if args.out:
-        payload = {"schema": SCHEMA_VERSION, "command": "grid", "checks": checks,
-                   "rows": [r for r, _ in rows]}
-        Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2))
+        Path(args.out).write_text(payload + "\n")
     if truncated:
         print(f"budget exhausted: the {args.nodes}-node budget truncated the Dehn "
               f"table of {', '.join(map(str, truncated))}", file=sys.stderr)
@@ -244,19 +227,20 @@ def cmd_grid(args) -> int:
 
 def cmd_complete(args) -> int:
     pres = _read_presentation(args.presentation)
-    order = rewrite.parse_order(args.order) if args.order else _default_order(pres.alphabet)
+    letters = pres.alphabet.letters
+    order = (rewrite.parse_order(args.order) if args.order
+             else ReductionOrder({c: 1 for c in letters}, tuple(letters)))
     report = confluence.knuth_bendix(pres, order, max_rules=args.max_rules,
                                      max_steps=args.max_steps, fuel=args.fuel)
     if args.json:
-        _emit_json({"schema": SCHEMA_VERSION, "command": "complete",
-                    "budgets": {"max_rules": args.max_rules,
-                                "max_steps": args.max_steps, "fuel": args.fuel},
-                    "order": str(order),
-                    "result": {
-                        "outcome": report.outcome,
-                        "system": _system_dict(report.system) if report.system else None,
-                        "stats": asdict(report.stats),
-                    }})
+        print(_report(args, {"max_rules": args.max_rules, "max_steps": args.max_steps,
+                             "fuel": args.fuel},
+                      order=str(order),
+                      result={
+                          "outcome": report.outcome,
+                          "system": _system(report.system) if report.system else None,
+                          "stats": asdict(report.stats),
+                      }))
     else:
         print(f"outcome: {report.outcome}")
         if report.system:
@@ -270,17 +254,15 @@ def cmd_complete(args) -> int:
 
 
 def cmd_nf(args) -> int:
-    system = _read_system(args.system)
+    system = rewrite.parse_system_file(Path(args.system).read_text())
     w = parse_word(args.word, system.alphabet)
     nf, trace = rewrite.normal_form(system, w, fuel=args.fuel)
     if args.json:
-        _emit_json({"schema": SCHEMA_VERSION, "command": "nf",
-                    "budgets": {"fuel": args.fuel},
-                    "result": {"word": print_word(w) or "1",
-                               "normal_form": print_word(nf) or "1",
-                               "steps": len(trace.steps)}})
+        print(_report(args, {"fuel": args.fuel},
+                      result={"word": _word(w), "normal_form": _word(nf),
+                              "steps": len(trace.steps)}))
     else:
-        print(print_word(nf) or "1")
+        print(_word(nf))
     return EXIT_OK
 
 
@@ -289,20 +271,18 @@ def cmd_equal(args) -> int:
     u = parse_word(args.u, pres.alphabet)
     v = parse_word(args.v, pres.alphabet)
     bound = args.bound if args.bound else max(len(u), len(v)) + 2 * max(
-        len(l) for l, _ in pres.equations)
+        (len(l) for l, _ in pres.equations), default=0)
     outcome = analysis.equal_in_monoid(pres, u, v, bound, node_budget=args.nodes,
                                        minimize="space" if args.space else "steps")
     if args.json:
-        _emit_json({"schema": SCHEMA_VERSION, "command": "equal",
-                    "budgets": {"bound": bound, "oracle_nodes": args.nodes},
-                    "result": {"status": outcome.status,
-                               "certificate": _certificate_dict(outcome.certificate)}})
+        print(_report(args, {"bound": bound, "oracle_nodes": args.nodes},
+                      result={"status": outcome.status,
+                              "certificate": _certificate(outcome.certificate)}))
+    elif outcome.status == "equal":
+        c = outcome.certificate
+        print(f"equal (d={c.d}, s={c.s})")
     else:
-        if outcome.status == "equal":
-            c = outcome.certificate
-            print(f"equal (d={c.d}, s={c.s})")
-        else:
-            print(outcome.status)
+        print(outcome.status)
     return EXIT_BUDGET if outcome.status == "inconclusive" else EXIT_OK
 
 
@@ -321,12 +301,11 @@ def cmd_dehn(args) -> int:
                                 slack=args.slack, node_budget=args.nodes,
                                 seed=args.seed)
     if args.json:
-        _emit_json({"schema": SCHEMA_VERSION, "command": "dehn",
-                    "budgets": {"oracle_nodes": args.nodes, "slack": args.slack},
-                    "mode": args.mode,
-                    "rows": [{"n": s.n, "dehn": s.dehn, "space": s.space,
-                              "pairs": s.pairs_examined, "exhaustive": s.exhaustive}
-                             for s in table]})
+        print(_report(args, {"oracle_nodes": args.nodes, "slack": args.slack},
+                      mode=args.mode,
+                      rows=[{"n": s.n, "dehn": s.dehn, "space": s.space,
+                             "pairs": s.pairs_examined, "exhaustive": s.exhaustive}
+                            for s in table]))
     else:
         print(f"{'n':>3} {'dehn':>5} {'space':>6} {'pairs':>8}  exhaustive")
         for s in table:
@@ -339,43 +318,37 @@ def cmd_dehn(args) -> int:
 
 
 def cmd_endo(args) -> int:
-    tag, params = family.classify(*args.params)
-    summary = family.certify_family_system(tag, params, max_weight=args.max_weight,
-                                           fuel=args.fuel)
+    summary = _certify(args, args.params)
     if summary.certification != rewrite.Certification.COMPLETE:
         print("error: system could not be certified complete", file=sys.stderr)
         return EXIT_CHECK_FAILED
     system = summary.system
-    pres = family.one_relator_presentation(params)
+    pres = family.one_relator_presentation(summary.params)
     phi = endo.parse_endomorphism(args.map, pres)
     lift = endo.check_lifts(system, pres, phi, fuel=args.fuel)
     result: dict = {
         "map": str(phi),
         "lifts": lift.lifts,
-        "relation_normal_forms": [[print_word(a) or "1", print_word(b) or "1"]
+        "relation_normal_forms": [[_word(a), _word(b)]
                                   for a, b in lift.relation_normal_forms],
     }
     if lift.lifts and args.surjective_bound:
-        evidence = endo.surjectivity_evidence(system, pres, phi,
-                                              args.surjective_bound, fuel=args.fuel)
-        result["surjectivity"] = {g: (print_word(w) or "1") if w is not None else None
-                                  for g, w in evidence.items()}
+        result["surjectivity"] = _preimages(endo.surjectivity_evidence(
+            system, pres, phi, args.surjective_bound, fuel=args.fuel))
     if lift.lifts and args.noninjective_bound:
         witness = endo.find_injectivity_violation(system, pres, phi,
                                                   args.noninjective_bound,
                                                   fuel=args.fuel)
-        result["witness"] = None if witness is None else _witness_dict(witness)
+        result["witness"] = None if witness is None else _witness(witness)
     if args.json:
-        _emit_json({"schema": SCHEMA_VERSION, "command": "endo",
-                    "budgets": {"fuel": args.fuel,
-                                "surjective_bound": args.surjective_bound,
-                                "noninjective_bound": args.noninjective_bound},
-                    "params": list(args.params),
-                    "result": result})
+        print(_report(args, {"fuel": args.fuel,
+                             "surjective_bound": args.surjective_bound,
+                             "noninjective_bound": args.noninjective_bound},
+                      params=list(args.params), result=result))
     else:
         print(f"map {phi}: {'lifts' if lift.lifts else 'does not lift'}")
-        for (a, b) in lift.relation_normal_forms:
-            print(f"  relation normal forms: {print_word(a) or '1'} vs {print_word(b) or '1'}")
+        for a, b in result["relation_normal_forms"]:
+            print(f"  relation normal forms: {a} vs {b}")
         if "surjectivity" in result:
             for g, w in sorted(result["surjectivity"].items()):
                 print(f"  preimage of {g}: {w}")
@@ -386,47 +359,38 @@ def cmd_endo(args) -> int:
 
 def cmd_hopf_demo(args) -> int:
     report = endo.hopf_demo(fuel=args.fuel)
+    witness = _witness(report.witness)
+    result = {
+        "params": list(report.exponents),
+        "system": _system(report.system),
+        "lift_map": str(report.lift_map),
+        "lifts": report.lift_verdict,
+        "lift_normal_forms": [[_word(a), _word(b)] for a, b in report.lift_normal_forms],
+        "surjectivity": _preimages(report.surjectivity),
+        "non_lift_map": str(report.non_lift_map),
+        "non_lift_normal_forms": [_word(w) for w in report.non_lift_normal_forms],
+        "witness": {**witness, "found_at_bound": report.witness_bound},
+        "derived_witness": {key: w for key, w in _witness(report.derived_witness).items()
+                            if key in ("u", "v")},
+        "conclusion": report.conclusion,
+    }
     if args.json:
-        _emit_json({"schema": SCHEMA_VERSION, "command": "hopf-demo",
-                    "budgets": {"fuel": args.fuel},
-                    "result": {
-                        "params": list(report.exponents),
-                        "system": _system_dict(report.system),
-                        "lift_map": str(report.lift_map),
-                        "lifts": report.lift_verdict,
-                        "lift_normal_forms": [[print_word(a), print_word(b)]
-                                              for a, b in report.lift_normal_forms],
-                        "surjectivity": {g: print_word(w) if w else w
-                                         for g, w in report.surjectivity.items()},
-                        "non_lift_map": str(report.non_lift_map),
-                        "non_lift_normal_forms": [print_word(w)
-                                                  for w in report.non_lift_normal_forms],
-                        "witness": {**_witness_dict(report.witness),
-                                    "found_at_bound": report.witness_bound},
-                        "derived_witness": {
-                            "u": print_word(report.derived_witness.u),
-                            "v": print_word(report.derived_witness.v),
-                        },
-                        "conclusion": report.conclusion,
-                    }})
-    else:
-        print(f"system for a^1 b^2 a^2 b^2 = b ({report.system.certification.value}):")
-        for rule in report.system.rules:
-            print(f"  {rule}")
-        print(f"lift a->a, b->bab: {report.lift_verdict} "
-              f"(both relation sides reduce to "
-              f"{print_word(report.lift_normal_forms[0][0])})")
-        for g, w in sorted(report.surjectivity.items()):
-            print(f"preimage of {g}: {print_word(w)}")
-        print(f"inverse probe b->ab^2 does not lift: normal forms "
-              f"{print_word(report.non_lift_normal_forms[0])} vs "
-              f"{print_word(report.non_lift_normal_forms[1])}")
-        w = report.witness
-        print(f"injectivity witness (bound {report.witness_bound}): "
-              f"{print_word(w.u)} vs {print_word(w.v)} "
-              f"(normal forms {print_word(w.u_normal_form)} vs {print_word(w.v_normal_form)}; "
-              f"images both {print_word(w.image_normal_form)})")
-        print(report.conclusion)
+        print(_report(args, {"fuel": args.fuel}, result=result))
+        return EXIT_OK
+    print(f"system for a^1 b^2 a^2 b^2 = b ({report.system.certification.value}):")
+    for rule in report.system.rules:
+        print(f"  {rule}")
+    print(f"lift a->a, b->bab: {report.lift_verdict} "
+          f"(both relation sides reduce to {result['lift_normal_forms'][0][0]})")
+    for g, w in sorted(result["surjectivity"].items()):
+        print(f"preimage of {g}: {w}")
+    print("inverse probe b->ab^2 does not lift: normal forms "
+          "{} vs {}".format(*result["non_lift_normal_forms"]))
+    print(f"injectivity witness (bound {report.witness_bound}): "
+          f"{witness['u']} vs {witness['v']} "
+          f"(normal forms {witness['u_normal_form']} vs {witness['v_normal_form']}; "
+          f"images both {witness['image_normal_form']})")
+    print(report.conclusion)
     return EXIT_OK
 
 
@@ -438,8 +402,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "and endomorphism analysis.")
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p, fuel=True, nodes=False):
+    def add_common(p, func, fuel=True, nodes=False, certify=False):
+        p.set_defaults(func=func)
         p.add_argument("--json", action="store_true", help="emit a JSON report")
+        if certify:  # what _certify reads besides --fuel
+            p.add_argument("--max-weight", type=positive_int, default=8)
         if fuel:
             p.add_argument("--fuel", type=positive_int, default=rewrite.DEFAULT_FUEL,
                            help="max rewrite steps per reduction (default %(default)s)")
@@ -454,9 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="certify and check presentation equivalence")
     p.add_argument("--out", help="write the system file here")
-    p.add_argument("--max-weight", type=positive_int, default=8)
-    add_common(p, nodes=True)
-    p.set_defaults(func=cmd_build)
+    add_common(p, cmd_build, nodes=True, certify=True)
 
     p = sub.add_parser("grid", help="run checks over an exponent grid")
     p.add_argument("--range", default="1..4", help="range for all exponents (default %(default)s)")
@@ -464,13 +429,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{name}", help=f"override range for {name}")
     p.add_argument("--checks", default="completeness",
                    help="comma-separated: completeness,equivalence,probe,dehn")
-    p.add_argument("--max-weight", type=positive_int, default=8)
     p.add_argument("--max-rules", type=positive_int, default=120)
     p.add_argument("--max-steps", type=positive_int, default=4000)
     p.add_argument("--dehn-n", type=positive_int, default=4)
-    p.add_argument("--out", help="write the JSON rows here")
-    add_common(p, nodes=True)
-    p.set_defaults(func=cmd_grid)
+    p.add_argument("--out", help="write the --json report here")
+    add_common(p, cmd_grid, nodes=True, certify=True)
 
     p = sub.add_parser("complete", help="Knuth-Bendix completion of a presentation file")
     p.add_argument("--presentation", required=True)
@@ -479,14 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rules", type=positive_int, default=120)
     p.add_argument("--max-steps", type=positive_int, default=4000)
     p.add_argument("--out", help="write the completed system file here")
-    add_common(p)
-    p.set_defaults(func=cmd_complete)
+    add_common(p, cmd_complete)
 
     p = sub.add_parser("nf", help="normal form of a word under a system file")
     p.add_argument("--system", required=True)
     p.add_argument("word")
-    add_common(p)
-    p.set_defaults(func=cmd_nf)
+    add_common(p, cmd_nf)
 
     p = sub.add_parser("equal", help="bounded equality search in a presentation")
     p.add_argument("--presentation", required=True)
@@ -496,8 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="length cap (default: max length + 2*relator)")
     p.add_argument("--space", action="store_true",
                    help="minimize the intermediate-length bound instead of steps")
-    add_common(p, fuel=False, nodes=True)
-    p.set_defaults(func=cmd_equal)
+    add_common(p, cmd_equal, fuel=False, nodes=True)
 
     p = sub.add_parser("dehn", help="measured Dehn/space table for a presentation")
     p.add_argument("--presentation", required=True)
@@ -505,8 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", default="exhaustive", help="exhaustive or random:COUNT")
     p.add_argument("--slack", type=int, help="length-cap slack (default 2*relator)")
     p.add_argument("--seed", type=int, default=0)
-    add_common(p, fuel=False, nodes=True)
-    p.set_defaults(func=cmd_dehn)
+    add_common(p, cmd_dehn, fuel=False, nodes=True)
 
     p = sub.add_parser("endo", help="endomorphism analysis on a family monoid")
     p.add_argument("--params", nargs=4, type=int, required=True,
@@ -514,13 +473,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True, help='e.g. "a=a,b=bab"')
     p.add_argument("--surjective-bound", type=positive_int, default=3)
     p.add_argument("--noninjective-bound", type=positive_int)
-    p.add_argument("--max-weight", type=positive_int, default=8)
-    add_common(p)
-    p.set_defaults(func=cmd_endo)
+    add_common(p, cmd_endo, certify=True)
 
-    p = sub.add_parser("hopf-demo", help="the full non-hopfian demonstration")
-    add_common(p)
-    p.set_defaults(func=cmd_hopf_demo)
+    add_common(sub.add_parser("hopf-demo", help="the full non-hopfian demonstration"),
+               cmd_hopf_demo)
 
     return parser
 
@@ -536,13 +492,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except (ValueError, WordSyntaxError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except FuelExhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except OSError as exc:  # unreadable input or unwritable output path
+    # OSError: an unreadable input or unwritable output path
+    except (ValueError, WordSyntaxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

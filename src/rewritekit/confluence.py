@@ -18,7 +18,7 @@ from .rewrite import (
     compare,
     verify_termination,
 )
-from .words import Word, find_occurrences, print_word
+from .words import Word, find_occurrences
 
 if TYPE_CHECKING:  # avoids an import cycle; Presentation lives with the family code
     from .family import Presentation
@@ -105,13 +105,6 @@ class LocalConfluenceReport:
     pairs_checked: int
     failures: tuple[ConfluenceFailure, ...] = ()
     system: Optional[RewritingSystem] = None
-
-    def message(self) -> str:
-        if self.joinable:
-            return f"locally confluent ({self.pairs_checked} critical pairs joinable)"
-        f = self.failures[0]
-        return (f"critical pair at {print_word(f.pair.source)} does not join: "
-                f"{print_word(f.left_normal_form)} vs {print_word(f.right_normal_form)}")
 
 
 def check_local_confluence(system: RewritingSystem,

@@ -176,6 +176,10 @@ def build_system(tag: CaseTag, params: FamilyParams) -> RewritingSystem:
     return RewritingSystem(ABX, tuple(rules))
 
 
+# The identities behind the Case 4 rules, in build_system's rule order.
+CASE4_IDENTITY_NAMES = ("absorb-x", "expand-ab", "expand-b", "shift-b-block", "extra")
+
+
 def one_relator_presentation(params: FamilyParams) -> Presentation:
     """The defining presentation <a,b | relator = b>."""
     return Presentation(AB, ((params.relator, "b"),))
@@ -303,27 +307,17 @@ class ChainReport:
 def check_derivation_chain(params: FamilyParams,
                            node_budget: int = 10**6) -> ChainReport:
     """Replay the identities behind the k>=2 construction over
-    <a,b,x | relator = b, a^(pk) b^s = x>.
+    <a,b,x | relator = b, a^(pk) b^s = x>: one per rule that
+    :func:`build_system` ships, so the chain checks exactly those rules.
     """
     tag, _ = classify(params.alpha, params.beta, params.gamma, params.delta)
     if tag.variant != Case.CASE4:
         raise ValueError("derivation chain is defined for Case4 parameters only")
-    p, q, s, k = params.p, params.q, params.s, params.k
-    x = AUX_LETTER
-    tail = "b" * (q + s - 1) + x
-    identities = [
-        ("absorb-x", "a" * p + x + "b" * q + x + "b" * (s - 1), x),
-        ("expand-ab", "a" * p + "b", x + "b" * q + x + tail * (k - 2)),
-        ("expand-b", "b", x + "b" * q + x + tail * (k - 1)),
-        ("shift-b-block", x + "b" * q + x + tail * (k - 2) + "b" * (q + s),
-         "b" * (q + 1) + x + tail * (k - 1)),
-    ]
-    if q >= s - 1:
-        identities.append(("extra", "a" * p + x + "b" * (q + 1),
-                           x + "b" * (q - (s - 1)) + x + tail * (k - 1)))
     pres = extended_presentation(params)
     out = []
-    for name, lhs, rhs in identities:
+    for name, rule in zip(CASE4_IDENTITY_NAMES, build_system(tag, params).rules):
+        # expand-b is derived as b = ..., the rule read right to left
+        lhs, rhs = (rule.rhs, rule.lhs) if name == "expand-b" else (rule.lhs, rule.rhs)
         outcome = _oracle_with_deepening(pres, lhs, rhs,
                                          slack=2 * len(params.relator),
                                          node_budget=node_budget)

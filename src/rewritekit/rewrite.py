@@ -235,24 +235,15 @@ class TerminationReport:
     failing_rule: Optional[int] = None
     system: Optional[RewritingSystem] = None
 
-    def message(self) -> str:
-        if self.certified:
-            return f"terminating under {self.order}"
-        return f"rule {self.failing_rule} is not oriented by {self.order}"
-
 
 def _upgrade(certification: Certification, fact: Certification) -> Certification:
-    """Combine an established fact with the current certification state."""
-    have = {certification, fact}
-    if Certification.COMPLETE in have:
-        return Certification.COMPLETE
-    if {Certification.LOCALLY_CONFLUENT, Certification.TERMINATING} <= have:
-        return Certification.COMPLETE  # Newman's lemma
-    if Certification.TERMINATING in have:
-        return Certification.TERMINATING
-    if Certification.LOCALLY_CONFLUENT in have:
-        return Certification.LOCALLY_CONFLUENT
-    return Certification.UNCERTIFIED
+    """Combine an established fact (locally confluent or terminating) with
+    the current certification state."""
+    if certification in (fact, Certification.COMPLETE):
+        return certification
+    if certification == Certification.UNCERTIFIED:
+        return fact
+    return Certification.COMPLETE  # the other fact already holds: Newman's lemma
 
 
 def verify_termination(system: RewritingSystem, order: ReductionOrder) -> TerminationReport:

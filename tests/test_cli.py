@@ -188,6 +188,44 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "non-hopfian" in out and "x^3bax^3b" in out
 
+    @pytest.mark.parametrize("u, v, expected", [
+        ("a", "b", "unequal-within-bound"),
+        ("a", "a", "equal (d=0, s=1)"),
+    ])
+    def test_equal_without_equations(self, u, v, expected, tmp_path, capsys):
+        pres = tmp_path / "free.pres"
+        pres.write_text("letters: a b\n")
+        assert cli.main(["equal", "--presentation", str(pres), u, v]) == 0
+        assert capsys.readouterr().out.strip() == expected
+
+    def test_build_verify_passes_fuel_to_equivalence(self, monkeypatch, capsys):
+        original = cli.family.verify_presentation_equivalence
+        seen = []
+
+        def recording(*args, **kwargs):
+            seen.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cli.family, "verify_presentation_equivalence", recording)
+        assert cli.main(["build", "--params", "1", "2", "2", "2", "--verify",
+                         "--fuel", "777"]) == 0
+        assert [kwargs.get("fuel") for kwargs in seen] == [777]
+
+    def test_empty_rule_side_prints_as_identity(self, tmp_path, capsys):
+        pres = tmp_path / "p.pres"
+        pres.write_text("letters: a b\nab = \n")
+        assert cli.main(["complete", "--presentation", str(pres), "--json"]) == 0
+        rules = json.loads(capsys.readouterr().out)["result"]["system"]["rules"]
+        assert rules == [{"lhs": "ab", "rhs": "1"}]
+
+    def test_grid_out_writes_the_json_report(self, tmp_path, capsys):
+        out_path = tmp_path / "grid.json"
+        assert cli.main(["grid", "--range", "1..1", "--json",
+                         "--out", str(out_path)]) == 0
+        printed = capsys.readouterr().out
+        assert out_path.read_text() == printed
+        assert "budgets" in json.loads(printed)
+
 
 class TestReproducibility:
     def run_json(self, argv, capsys):
