@@ -11,10 +11,13 @@ certificate, a definite "not connected within the bound", or an
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-from .rewrite import Certification, RewritingSystem
+from .confluence import knuth_bendix
+from .rewrite import (DEFAULT_FUEL, Certification, ReductionOrder,
+                      RewritingSystem, _reduce)
 from .words import Word, _shortlex_words, find_occurrences
 
 if TYPE_CHECKING:
@@ -22,6 +25,10 @@ if TYPE_CHECKING:
 
 DEFAULT_NODE_BUDGET = 10**6
 MAX_EXHAUSTIVE_N = 14
+# Limits of the completion runs that look for a system to prune Dehn-table
+# seeds with.  A run that is not done within these rarely completes soon,
+# and every table pays for its runs, so they stay small.
+_PRUNE_LIMITS = {"max_rules": 10, "max_steps": 50}
 
 FORWARD, BACKWARD = "lr", "rl"
 
@@ -267,6 +274,39 @@ def _explore(equations, seeds, cap: int, node_budget: int):
     return words, adj, id_of, exhausted
 
 
+def _pruning_system(presentation: "Presentation") -> Optional[RewritingSystem]:
+    """A complete system for the presentation, or None if none is found.
+
+    Tries all-weights-1 shortlex completion within :data:`_PRUNE_LIMITS`,
+    first under the alphabet's own precedence and then under its reverse.
+    A completed system is self-checked by :func:`knuth_bendix`.
+    """
+    letters = presentation.alphabet.letters
+    weights = dict.fromkeys(letters, 1)
+    for precedence in (letters, letters[::-1]):
+        report = knuth_bendix(presentation, ReductionOrder(weights, precedence),
+                              **_PRUNE_LIMITS)
+        if report.completed:
+            return report.system
+    return None
+
+
+def _partnered_seeds(presentation: "Presentation", seeds) -> list[Word]:
+    """The seeds, in order, that may be equal to another seed.
+
+    Under a complete system two words are equal in the monoid exactly when
+    they share a normal form, so a seed whose normal form no other seed
+    has is dropped.  Without a complete system every seed stays.
+    """
+    system = _pruning_system(presentation)
+    if system is None:
+        return list(seeds)
+    pairs = system.rule_pairs()
+    forms = [_reduce(pairs, w, DEFAULT_FUEL) for w in seeds]
+    count = Counter(forms)
+    return [w for w, f in zip(seeds, forms) if count[f] > 1]
+
+
 def dehn_table(presentation: "Presentation", n_max: int,
                mode: str = "exhaustive", sample_count: Optional[int] = None,
                slack: Optional[int] = None,
@@ -287,6 +327,14 @@ def dehn_table(presentation: "Presentation", n_max: int,
       distances (the Dehn entries).
 
     Trivial pairs (x, x) participate: their space requirement is |x|.
+
+    Seeds that no other seed can equal are not explored
+    (:func:`_partnered_seeds`).  This is sound because two words equal in
+    the monoid share their normal form under any complete system for it, so
+    a seed whose normal form no other seed shares has no partner, and its
+    component adds nothing to the Dehn, space or pair figures of the
+    others.  The space floor still counts every seed length.  Without a
+    complete system every seed is explored.
     """
     if n_max < 1:
         raise ValueError("n must be >= 1")
@@ -315,9 +363,10 @@ def dehn_table(presentation: "Presentation", n_max: int,
             picked.add("".join(rng.choice(letters) for _ in range(n)))
         seeds = sorted(picked, key=lambda w: (len(w), w))
 
-    # the seeds are distinct, so they hold ids 0..n_seeds-1
-    words, adj, id_of, exhausted = _explore(equations, seeds, cap, node_budget)
-    n_seeds = len(seeds)
+    # the explored seeds are distinct, so they hold ids 0..n_seeds-1
+    explored = _partnered_seeds(presentation, seeds)
+    words, adj, id_of, exhausted = _explore(equations, explored, cap, node_budget)
+    n_seeds = len(explored)
     length = [len(w) for w in words]
     del words, id_of  # only the lengths are needed from here on
     size = len(length)
@@ -391,7 +440,7 @@ def dehn_table(presentation: "Presentation", n_max: int,
             for i in reached:
                 dist[i] = -1
 
-    seed_lengths = set(length[:n_seeds])
+    seed_lengths = {len(w) for w in seeds}
     rows = []
     running_d = running_sp = running_pairs = floor = 0
     for n in range(1, n_max + 1):

@@ -117,9 +117,7 @@ def cmd_build(args) -> int:
         eq = _equivalence(args, summary.params, system)
         result["locally_confluent"] = summary.locally_confluent
         if empirical is not None:
-            result["empirical_termination"] = {
-                key: value for key, value in asdict(empirical).items()
-                if key != "max_steps_seen"}
+            result["empirical_termination"] = asdict(empirical)
         result["equivalence"] = {
             "passed": eq.passed,
             "rules": [{"rule": i.rule_index, "status": i.status, "d": i.d, "s": i.s}

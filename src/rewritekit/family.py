@@ -348,7 +348,6 @@ class EmpiricalTermination:
     max_length: int
     step_budget: int
     all_halted: bool
-    max_steps_seen: int
 
 
 @dataclass(frozen=True)
@@ -372,18 +371,14 @@ def empirical_termination_probe(system: RewritingSystem, samples: int = 200,
     rng = random.Random(seed)
     pairs = system.rule_pairs()
     letters = system.alphabet.letters
-    max_seen = 0
     for _ in range(samples):
         n = rng.randint(0, max_length)
         w = "".join(rng.choice(letters) for _ in range(n))
-        steps: list = []
         try:
-            _reduce(pairs, w, step_budget, steps)
+            _reduce(pairs, w, step_budget)
         except FuelExhausted:
-            return EmpiricalTermination(samples, max_length, step_budget,
-                                        False, step_budget)
-        max_seen = max(max_seen, len(steps))
-    return EmpiricalTermination(samples, max_length, step_budget, True, max_seen)
+            return EmpiricalTermination(samples, max_length, step_budget, False)
+    return EmpiricalTermination(samples, max_length, step_budget, True)
 
 
 def certify_family_system(tag: CaseTag, params: FamilyParams,

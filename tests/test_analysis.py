@@ -1,5 +1,7 @@
+import json
 import random
-from collections import deque
+from collections import Counter, deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,15 +9,24 @@ from hypothesis import given, settings, strategies as st
 import rewritekit as rk
 from rewritekit.analysis import (
     DehnSample,
+    _partnered_seeds,
+    _pruning_system,
     dehn_table,
     enumerate_elements,
     equal_in_monoid,
 )
-from rewritekit.rewrite import Rule, RewritingSystem, verify_termination
-from rewritekit.confluence import check_local_confluence
-from rewritekit.words import alphabet
+from rewritekit.rewrite import (
+    ReductionOrder,
+    Rule,
+    RewritingSystem,
+    _reduce,
+    verify_termination,
+)
+from rewritekit.confluence import check_local_confluence, knuth_bendix
+from rewritekit.words import _shortlex_words, alphabet
 
 AB = alphabet("ab")
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def bfs_graph(equations, seeds, cap):
@@ -234,8 +245,10 @@ class TestDehn:
 # around a word-only enumerator; the rewrite must reproduce them exactly.
 DEMO_ROWS_N8 = [(1, 0, 1, 0), (2, 0, 2, 0), (3, 0, 3, 0), (4, 0, 4, 0),
                 (5, 2, 11, 1), (6, 6, 18, 7), (7, 6, 19, 31), (8, 10, 20, 115)]
-DEMO_ROWS_N6_BUDGET_1000 = [(1, 0, 1, 0), (2, 0, 2, 0), (3, 0, 3, 0),
-                            (4, 0, 4, 0), (5, 2, 11, 1), (6, 2, 12, 5)]
+# Before seed pruning a 1,000-node budget truncated the n = 6 table to these
+# rows; with pruning it takes a 100-node budget to truncate it to them.
+DEMO_ROWS_N6_BUDGET_100 = [(1, 0, 1, 0), (2, 0, 2, 0), (3, 0, 3, 0),
+                           (4, 0, 4, 0), (5, 2, 11, 1), (6, 2, 12, 5)]
 DEMO_ROWS_N8_RANDOM_200_SEED_4 = [(1, 0, 1, 0), (2, 0, 2, 0), (3, 0, 3, 0),
                                   (4, 0, 4, 0), (5, 0, 5, 0), (6, 0, 6, 0),
                                   (7, 0, 7, 0), (8, 3, 14, 3)]
@@ -284,8 +297,15 @@ class TestGolden:
 
     def test_truncated_rows(self, demo):
         _, pres, _ = demo
+        # pruned seeds make 1,000 nodes enough for the whole table, whose
+        # rows are the golden CLI report's
         table = dehn_table(pres, 6, node_budget=1000)
-        assert _rows(table) == DEMO_ROWS_N6_BUDGET_1000
+        golden = json.loads((GOLDEN / "dehn_exhaustive.json").read_text())["rows"]
+        assert _rows(table) == [(r["n"], r["dehn"], r["space"], r["pairs"])
+                                for r in golden]
+        assert all(r.exhaustive for r in table)
+        table = dehn_table(pres, 6, node_budget=100)
+        assert _rows(table) == DEMO_ROWS_N6_BUDGET_100
         assert not any(r.exhaustive for r in table)
 
     def test_random_rows(self, demo):
@@ -360,6 +380,64 @@ def test_dehn_table_matches_per_pair_reference(equations, n, slack):
     pres = rk.Presentation(AB, tuple(equations))
     assert dehn_table(pres, n, slack=slack) == \
         reference_dehn_rows(pres.equations, n, n + slack)
+
+
+def _family_presentation(exponents):
+    _, params = rk.classify(*exponents)
+    return rk.one_relator_presentation(params)
+
+
+# (1,3,2,2) completes under neither letter order within the pruning limits;
+# these rows were recorded before seed pruning existed.
+ROWS_1322_N8 = [(1, 0, 1, 0), (2, 0, 2, 0), (3, 0, 3, 0), (4, 0, 4, 0),
+                (5, 0, 5, 0), (6, 2, 13, 1), (7, 6, 21, 7), (8, 6, 22, 30)]
+
+
+def _completion(pres, precedence):
+    order = ReductionOrder(dict.fromkeys(precedence, 1), tuple(precedence))
+    return knuth_bendix(pres, order, max_rules=10, max_steps=50)
+
+
+class TestSeedPruning:
+    # (1,2,2,2) completes only under b > a, (1,1,1,1) already under a > b
+    @pytest.mark.parametrize("exponents, precedence",
+                             [((1, 2, 2, 2), "ba"), ((1, 1, 1, 1), "ab")])
+    def test_keeps_exactly_the_seeds_with_a_partner(self, exponents, precedence):
+        pres = _family_presentation(exponents)
+        if precedence == "ba":
+            assert not _completion(pres, "ab").completed
+        assert _pruning_system(pres) == _completion(pres, precedence).system
+        # the partner test of the family's own complete system, built by hand
+        tag, params = rk.classify(*exponents)
+        summary = rk.certify_family_system(tag, params)
+        assert summary.certification == rk.Certification.COMPLETE
+        pairs = summary.system.rule_pairs()
+        seeds = list(_shortlex_words("ab", 8))
+        forms = [_reduce(pairs, w, 10**6) for w in seeds]
+        count = Counter(forms)
+        kept = _partnered_seeds(pres, seeds)
+        assert kept == [w for w, f in zip(seeds, forms) if count[f] > 1]
+        assert 0 < len(kept) < len(seeds)
+
+    def test_no_complete_system_explores_every_seed(self):
+        pres = _family_presentation((1, 3, 2, 2))
+        assert _pruning_system(pres) is None
+        seeds = list(_shortlex_words("ab", 8))
+        assert _partnered_seeds(pres, seeds) == seeds
+        table = dehn_table(pres, 8)
+        assert _rows(table) == ROWS_1322_N8
+        assert all(r.exhaustive for r in table)
+
+
+@pytest.mark.parametrize("exponents, prunes", [
+    ((1, 2, 2, 2), True), ((1, 1, 1, 1), True), ((2, 1, 3, 1), True),
+    ((2, 2, 2, 2), True), ((1, 3, 2, 2), False), ((1, 2, 3, 2), False),
+    ((1, 3, 2, 3), False)])
+def test_family_dehn_tables_match_per_pair_reference(exponents, prunes):
+    pres = _family_presentation(exponents)
+    assert (_pruning_system(pres) is not None) == prunes
+    slack = 2 * max(len(side) for eq in pres.equations for side in eq)
+    assert dehn_table(pres, 6) == reference_dehn_rows(pres.equations, 6, 6 + slack)
 
 
 class TestEnumerateElements:

@@ -94,8 +94,12 @@ class TestExitCodes:
             f"error: bad mode {mode!r}; expected exhaustive or random:COUNT\n")
 
     def test_budget_exhaustion_on_truncated_dehn_table(self, pres_file, capsys):
+        # with seed pruning 1,000 nodes hold the whole n = 6 table
         assert cli.main(["dehn", "--presentation", pres_file, "--n", "6",
-                         "--nodes", "1000"]) == 3
+                         "--nodes", "1000"]) == 0
+        capsys.readouterr()
+        assert cli.main(["dehn", "--presentation", pres_file, "--n", "6",
+                         "--nodes", "100"]) == 3
         captured = capsys.readouterr()
         assert "False" in captured.out
         assert captured.err.startswith("budget exhausted:")
