@@ -33,7 +33,6 @@ from .family import (
     Case,
     CaseTag,
     FamilyParams,
-    Presentation,
     build_system,
     certify_family_system,
     check_derivation_chain,
@@ -47,6 +46,7 @@ from .family import (
 from .rewrite import (
     Certification,
     FuelExhausted,
+    Presentation,
     ReductionOrder,
     ReductionTrace,
     Rule,

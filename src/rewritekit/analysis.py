@@ -13,15 +13,12 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .confluence import knuth_bendix
-from .rewrite import (DEFAULT_FUEL, Certification, ReductionOrder,
-                      RewritingSystem, _reduce)
-from .words import Word, _shortlex_words, find_occurrences
-
-if TYPE_CHECKING:
-    from .family import Presentation
+from .rewrite import (DEFAULT_FUEL, Certification, Presentation,
+                      ReductionOrder, RewritingSystem, _reduce)
+from .words import Word, _shortlex_words
 
 DEFAULT_NODE_BUDGET = 10**6
 MAX_EXHAUSTIVE_N = 14
@@ -31,6 +28,13 @@ MAX_EXHAUSTIVE_N = 14
 _PRUNE_LIMITS = {"max_rules": 10, "max_steps": 50}
 
 FORWARD, BACKWARD = "lr", "rl"
+
+
+def default_slack(presentation: Presentation) -> int:
+    """The default room a search gets above its longest input word: twice
+    the longest side of any equation (0 without equations)."""
+    return 2 * max((max(len(l), len(r)) for l, r in presentation.equations),
+                   default=0)
 
 
 @dataclass(frozen=True)
@@ -47,7 +51,7 @@ class EqualityCertificate:
     d: int
     s: int
 
-    def replay(self, presentation: "Presentation") -> bool:
+    def replay(self, presentation: Presentation) -> bool:
         """Re-apply every recorded application and compare with the chain."""
         if self.d != len(self.chain) - 1 or self.d != len(self.applications):
             return False
@@ -89,8 +93,8 @@ def _neighbors(rules, w: Word, cap: int) -> list[Word]:
     This is the one relation-application enumerator.  It returns words only
     (a word may repeat when two applications join the same pair);
     :func:`_application` recovers a step's (equation, direction, position)
-    when a certificate needs it.  An empty pattern matches at every
-    position, as ``str.find`` reports it.
+    in the same order when a certificate needs it.  An empty pattern
+    matches at every position, as ``str.find`` reports it.
     """
     out = []
     room = cap - len(w)
@@ -107,50 +111,36 @@ def _neighbors(rules, w: Word, cap: int) -> list[Word]:
 def _application(rules, u: Word, v: Word) -> tuple[int, str, int]:
     """The first application, in :func:`_neighbors` order, rewriting u into v."""
     growth = len(v) - len(u)
-    for k, rule in enumerate(rules):
-        if rule[2] != growth:
-            continue
-        hits = _neighbors((rule,), u, len(v))
-        if v in hits:
-            # a single rule's j-th hit comes from its j-th occurrence in u
-            j = hits.index(v)
-            pat = rule[0]
-            pos = find_occurrences(u, pat)[j] if pat else j
-            return k // 2, BACKWARD if k % 2 else FORWARD, pos
+    for k, (pat, sub, g) in enumerate(rules):
+        if g == growth:
+            m = len(pat)
+            p = u.find(pat)
+            while p != -1:
+                if u[:p] + sub + u[p + m:] == v:
+                    return k // 2, BACKWARD if k % 2 else FORWARD, p
+                p = u.find(pat, p + 1)
     raise ValueError(f"no single application rewrites {u!r} into {v!r}")
 
 
-def _flip(move):
-    idx, direction, pos = move
-    return idx, BACKWARD if direction == FORWARD else FORWARD, pos
+def _tree_path(vis, w: Word) -> list[Word]:
+    """``w`` and its ancestors in a search tree, up to the tree's root."""
+    path = [w]
+    while (w := vis[w][1]) is not None:
+        path.append(w)
+    return path
 
 
 def _build_certificate(rules, meet: Word, vis_f, vis_b) -> EqualityCertificate:
-    """Walk both search trees out from ``meet``.  A tree records each word's
-    parent only; the step's move is the first application from the parent
-    that yields the word, which is the one the search took.  Steps on the
-    backward tree were taken from y's side, so each is recovered from its
-    parent and then flipped."""
-    chain = [meet]
-    apps: list = []
-    w = meet
-    while True:  # walk back to x
-        parent = vis_f[w][1]
-        if parent is None:
-            break
-        chain.insert(0, parent)
-        apps.insert(0, _application(rules, parent, w))
-        w = parent
-    w = meet
-    while True:  # walk forward to y
-        parent = vis_b[w][1]
-        if parent is None:
-            break
-        chain.append(parent)
-        apps.append(_flip(_application(rules, parent, w)))
-        w = parent
-    return EqualityCertificate(tuple(chain), tuple(apps),
-                               len(chain) - 1, max(len(c) for c in chain))
+    """Join the tree paths x..meet and meet..y into one chain and recover
+    each step forward: the first application rewriting a word into the
+    next.  On y's half that is the reverse of the move the search took,
+    because moves are listed by equation, direction, then position, and
+    one equation rewrites u into v both ways only if its sides are equal."""
+    chain = _tree_path(vis_f, meet)[::-1] + _tree_path(vis_b, meet)[1:]
+    apps = tuple(_application(rules, chain[i], chain[i + 1])
+                 for i in range(len(chain) - 1))
+    return EqualityCertificate(tuple(chain), apps, len(apps),
+                               max(map(len, chain)))
 
 
 def _bidirectional_search(rules, x: Word, y: Word, cap: int,
@@ -206,7 +196,7 @@ def _bidirectional_search(rules, x: Word, y: Word, cap: int,
             frontier_b, depth_b = new_frontier, depth
 
 
-def equal_in_monoid(presentation: "Presentation", x: Word, y: Word,
+def equal_in_monoid(presentation: Presentation, x: Word, y: Word,
                     bound: int, node_budget: int = DEFAULT_NODE_BUDGET,
                     minimize: str = "steps") -> EqualityOutcome:
     """Decide x ~ y among derivations whose words stay within ``bound``.
@@ -215,6 +205,8 @@ def equal_in_monoid(presentation: "Presentation", x: Word, y: Word,
     applications among bounded derivations; ``minimize="space"`` instead
     deepens the length cap one letter at a time, so the certificate's
     ``s`` is exactly the least achievable intermediate-length bound.
+    Callers without a bound of their own use ``max(|x|, |y|)`` plus
+    :func:`default_slack`.
     """
     presentation.alphabet.validate_word(x)
     presentation.alphabet.validate_word(y)
@@ -274,7 +266,7 @@ def _explore(equations, seeds, cap: int, node_budget: int):
     return words, adj, id_of, exhausted
 
 
-def _pruning_system(presentation: "Presentation") -> Optional[RewritingSystem]:
+def _pruning_system(presentation: Presentation) -> Optional[RewritingSystem]:
     """A complete system for the presentation, or None if none is found.
 
     Tries all-weights-1 shortlex completion within :data:`_PRUNE_LIMITS`,
@@ -291,7 +283,7 @@ def _pruning_system(presentation: "Presentation") -> Optional[RewritingSystem]:
     return None
 
 
-def _partnered_seeds(presentation: "Presentation", seeds) -> list[Word]:
+def _partnered_seeds(presentation: Presentation, seeds) -> list[Word]:
     """The seeds, in order, that may be equal to another seed.
 
     Under a complete system two words are equal in the monoid exactly when
@@ -307,7 +299,7 @@ def _partnered_seeds(presentation: "Presentation", seeds) -> list[Word]:
     return [w for w, f in zip(seeds, forms) if count[f] > 1]
 
 
-def dehn_table(presentation: "Presentation", n_max: int,
+def dehn_table(presentation: Presentation, n_max: int,
                mode: str = "exhaustive", sample_count: Optional[int] = None,
                slack: Optional[int] = None,
                node_budget: int = DEFAULT_NODE_BUDGET,
@@ -315,8 +307,9 @@ def dehn_table(presentation: "Presentation", n_max: int,
     """Measured Dehn and space values for n = 1..n_max.
 
     All rows share one reachability graph capped at ``n_max + slack``
-    (:func:`_explore`), which makes the measured values non-decreasing in n
-    by construction.  Two passes over it give the rows:
+    (:func:`_explore`; ``slack`` defaults to :func:`default_slack`), which
+    makes the measured values non-decreasing in n by construction.  Two
+    passes over it give the rows:
 
     - a union-find sweep that activates words one length bucket at a time
       gives, for every equal pair, the least length cap under which the
@@ -345,7 +338,7 @@ def dehn_table(presentation: "Presentation", n_max: int,
                          "use random sampling for larger n")
     equations = presentation.equations
     if slack is None:
-        slack = 2 * max((max(len(l), len(r)) for l, r in equations), default=0)
+        slack = default_slack(presentation)
     if slack < 0:
         raise ValueError(f"slack must be >= 0, got {slack}")
     cap = n_max + slack

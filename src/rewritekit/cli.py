@@ -86,8 +86,8 @@ def _parse_range(text: str) -> range:
     return range(lo, hi + 1)
 
 
-def _read_presentation(path: str) -> family.Presentation:
-    return family.parse_presentation_file(Path(path).read_text())
+def _read_presentation(path: str) -> rewrite.Presentation:
+    return rewrite.parse_presentation_file(Path(path).read_text())
 
 
 def _certify(args, exponents) -> family.CertificationSummary:
@@ -268,8 +268,7 @@ def cmd_equal(args) -> int:
     pres = _read_presentation(args.presentation)
     u = parse_word(args.u, pres.alphabet)
     v = parse_word(args.v, pres.alphabet)
-    bound = args.bound if args.bound else max(len(u), len(v)) + 2 * max(
-        (len(l) for l, _ in pres.equations), default=0)
+    bound = args.bound or max(len(u), len(v)) + analysis.default_slack(pres)
     outcome = analysis.equal_in_monoid(pres, u, v, bound, node_budget=args.nodes,
                                        minimize="space" if args.space else "steps")
     if args.json:
@@ -452,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("u")
     p.add_argument("v")
     p.add_argument("--bound", type=positive_int,
-                   help="length cap (default: max length + 2*relator)")
+                   help="length cap (default: longer word + 2*longest side)")
     p.add_argument("--space", action="store_true",
                    help="minimize the intermediate-length bound instead of steps")
     add_common(p, cmd_equal, fuel=False, nodes=True)
@@ -461,7 +460,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--presentation", required=True)
     p.add_argument("--n", type=positive_int, required=True)
     p.add_argument("--mode", default="exhaustive", help="exhaustive or random:COUNT")
-    p.add_argument("--slack", type=int, help="length-cap slack (default 2*relator)")
+    p.add_argument("--slack", type=int,
+                   help="length-cap slack (default 2*longest side)")
     p.add_argument("--seed", type=int, default=0)
     add_common(p, cmd_dehn, fuel=False, nodes=True)
 
@@ -492,6 +492,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except FuelExhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("budget exhausted: out of memory; lower --nodes or the problem size",
+              file=sys.stderr)
         return EXIT_BUDGET
     # OSError: an unreadable input or unwritable output path
     except (ValueError, WordSyntaxError, OSError) as exc:

@@ -4,12 +4,13 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from .rewrite import (
     DEFAULT_FUEL,
     Certification,
     GREATER,
+    Presentation,
     ReductionOrder,
     Rule,
     RewritingSystem,
@@ -19,9 +20,6 @@ from .rewrite import (
     verify_termination,
 )
 from .words import Word, find_occurrences
-
-if TYPE_CHECKING:  # avoids an import cycle; Presentation lives with the family code
-    from .family import Presentation
 
 
 @dataclass(frozen=True)
@@ -150,7 +148,7 @@ class CompletionReport:
         return self.outcome == "completed"
 
 
-def knuth_bendix(presentation: "Presentation", order: ReductionOrder,
+def knuth_bendix(presentation: Presentation, order: ReductionOrder,
                  max_rules: int = 200, max_steps: int = 5000,
                  fuel: int = DEFAULT_FUEL) -> CompletionReport:
     """Standard completion: orient, overlap, repair, inter-reduce.

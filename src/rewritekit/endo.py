@@ -13,13 +13,8 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Mapping, Optional
 
-from .family import (
-    Presentation,
-    certify_family_system,
-    classify,
-    one_relator_presentation,
-)
-from .rewrite import DEFAULT_FUEL, RewritingSystem, _reduce
+from .family import certify_family_system, classify, one_relator_presentation
+from .rewrite import DEFAULT_FUEL, Presentation, RewritingSystem, _reduce
 from .words import Word, _shortlex_words, print_word
 
 DEMO_EXPONENTS = (1, 2, 2, 2)

@@ -21,6 +21,7 @@ from .rewrite import (
     DEFAULT_FUEL,
     Certification,
     FuelExhausted,
+    Presentation,
     ReductionOrder,
     Rule,
     RewritingSystem,
@@ -28,7 +29,7 @@ from .rewrite import (
     find_termination_order,
     verify_termination,
 )
-from .words import Alphabet, Word, _parse_pair_file, alphabet, print_word
+from .words import Alphabet, Word, alphabet
 
 AB = alphabet("ab")
 ABX = alphabet("abx")
@@ -69,35 +70,6 @@ class FamilyParams:
     @property
     def overlapping(self) -> bool:
         return self.p is not None
-
-
-@dataclass(frozen=True)
-class Presentation:
-    """A monoid presentation: alphabet plus unordered word-pair equations."""
-
-    alphabet: Alphabet
-    equations: tuple[tuple[Word, Word], ...]
-
-    def __post_init__(self) -> None:
-        for lhs, rhs in self.equations:
-            self.alphabet.validate_word(lhs)
-            self.alphabet.validate_word(rhs)
-
-    def __str__(self) -> str:
-        lines = [f"letters: {' '.join(self.alphabet.letters)}"]
-        lines += [f"{print_word(l)} = {print_word(r)}" for l, r in self.equations]
-        return "\n".join(lines)
-
-
-def parse_presentation_file(text: str) -> Presentation:
-    """Parse the presentation file format: a letters: line, then lhs = rhs lines."""
-    alpha, equations = _parse_pair_file(text, "presentation", "equation", "=",
-                                        lambda lhs, rhs: (lhs, rhs))
-    return Presentation(alpha, equations)
-
-
-def format_presentation_file(presentation: Presentation) -> str:
-    return str(presentation) + "\n"
 
 
 def classify(alpha: int, beta: int, gamma: int, delta: int) -> tuple[CaseTag, FamilyParams]:
@@ -192,11 +164,6 @@ def extended_presentation(params: FamilyParams) -> Presentation:
     return Presentation(ABX, ((params.relator, "b"), (x_definition(params), AUX_LETTER)))
 
 
-def substitute_aux(word: Word, definition: Word) -> Word:
-    """Replace every x by its defining word."""
-    return word.replace(AUX_LETTER, definition)
-
-
 def probe_order(alpha: Alphabet) -> ReductionOrder:
     """The all-weights-1 shortlex order used by completion probes.
 
@@ -239,24 +206,24 @@ class EquivalenceReport:
 
 
 def _oracle_with_deepening(presentation: Presentation, lhs: Word, rhs: Word,
-                           slack: int, node_budget: int) -> "analysis.EqualityOutcome":
-    """Run the equality oracle, deepening the length bound twice if needed."""
-    base = max(len(lhs), len(rhs))
-    step = max(len(l) for l, _ in presentation.equations)
-    outcome = None
+                           node_budget: int) -> analysis.EqualityOutcome:
+    """Run the equality oracle at the default bound, deepening it twice by
+    half the default slack (the longest side) if needed."""
+    slack = analysis.default_slack(presentation)
+    base = max(len(lhs), len(rhs)) + slack
     for attempt in range(3):
-        bound = base + slack + attempt * step
-        outcome = analysis.equal_in_monoid(presentation, lhs, rhs, bound,
+        outcome = analysis.equal_in_monoid(presentation, lhs, rhs,
+                                           base + attempt * (slack // 2),
                                            node_budget=node_budget)
         if outcome.status == "equal":
-            return outcome
+            break
     return outcome
 
 
 def verify_presentation_equivalence(original: Presentation,
                                     constructed: RewritingSystem,
                                     x_def: Optional[Word] = None,
-                                    node_budget: int = 10**6,
+                                    node_budget: int = analysis.DEFAULT_NODE_BUDGET,
                                     fuel: int = DEFAULT_FUEL) -> EquivalenceReport:
     """Two-sided check that the constructed system presents the original monoid.
 
@@ -267,14 +234,12 @@ def verify_presentation_equivalence(original: Presentation,
     """
     if AUX_LETTER in constructed.alphabet and x_def is None:
         raise ValueError("constructed system uses x; its definition is required")
-    relator_len = max(len(l) for l, _ in original.equations)
     results = []
     for idx, rule in enumerate(constructed.rules):
-        lhs = substitute_aux(rule.lhs, x_def) if x_def else rule.lhs
-        rhs = substitute_aux(rule.rhs, x_def) if x_def else rule.rhs
-        outcome = _oracle_with_deepening(original, lhs, rhs,
-                                         slack=2 * relator_len,
-                                         node_budget=node_budget)
+        lhs, rhs = rule.lhs, rule.rhs
+        if x_def:
+            lhs, rhs = lhs.replace(AUX_LETTER, x_def), rhs.replace(AUX_LETTER, x_def)
+        outcome = _oracle_with_deepening(original, lhs, rhs, node_budget)
         cert = outcome.certificate
         results.append(RuleEquivalence(idx, outcome.status,
                                        d=cert.d if cert else None,
@@ -305,7 +270,7 @@ class ChainReport:
 
 
 def check_derivation_chain(params: FamilyParams,
-                           node_budget: int = 10**6) -> ChainReport:
+                           node_budget: int = analysis.DEFAULT_NODE_BUDGET) -> ChainReport:
     """Replay the identities behind the k>=2 construction over
     <a,b,x | relator = b, a^(pk) b^s = x>: one per rule that
     :func:`build_system` ships, so the chain checks exactly those rules.
@@ -318,9 +283,7 @@ def check_derivation_chain(params: FamilyParams,
     for name, rule in zip(CASE4_IDENTITY_NAMES, build_system(tag, params).rules):
         # expand-b is derived as b = ..., the rule read right to left
         lhs, rhs = (rule.rhs, rule.lhs) if name == "expand-b" else (rule.lhs, rule.rhs)
-        outcome = _oracle_with_deepening(pres, lhs, rhs,
-                                         slack=2 * len(params.relator),
-                                         node_budget=node_budget)
+        outcome = _oracle_with_deepening(pres, lhs, rhs, node_budget)
         cert = outcome.certificate
         out.append(ChainIdentity(name, lhs, rhs, outcome.status,
                                  d=cert.d if cert else None,
@@ -364,27 +327,33 @@ class CertificationSummary:
         return self.system.certification
 
 
-def empirical_termination_probe(system: RewritingSystem, samples: int = 200,
-                                max_length: int = 20, step_budget: int = 10**5,
-                                seed: int = 0) -> EmpiricalTermination:
+# The empirical termination probe reduces EMPIRICAL_SAMPLES seeded random
+# words of length <= EMPIRICAL_MAX_LENGTH, each within EMPIRICAL_STEP_BUDGET.
+EMPIRICAL_SAMPLES, EMPIRICAL_MAX_LENGTH, EMPIRICAL_STEP_BUDGET = 200, 20, 10**5
+EMPIRICAL_SEED = 0
+
+
+def empirical_termination_probe(system: RewritingSystem) -> EmpiricalTermination:
     """Reduce random words and record that every derivation halted."""
-    rng = random.Random(seed)
+    rng = random.Random(EMPIRICAL_SEED)
     pairs = system.rule_pairs()
     letters = system.alphabet.letters
-    for _ in range(samples):
-        n = rng.randint(0, max_length)
+    halted = True
+    for _ in range(EMPIRICAL_SAMPLES):
+        n = rng.randint(0, EMPIRICAL_MAX_LENGTH)
         w = "".join(rng.choice(letters) for _ in range(n))
         try:
-            _reduce(pairs, w, step_budget)
+            _reduce(pairs, w, EMPIRICAL_STEP_BUDGET)
         except FuelExhausted:
-            return EmpiricalTermination(samples, max_length, step_budget, False)
-    return EmpiricalTermination(samples, max_length, step_budget, True)
+            halted = False
+            break
+    return EmpiricalTermination(EMPIRICAL_SAMPLES, EMPIRICAL_MAX_LENGTH,
+                                EMPIRICAL_STEP_BUDGET, halted)
 
 
 def certify_family_system(tag: CaseTag, params: FamilyParams,
-                          system: Optional[RewritingSystem] = None,
-                          max_weight: int = 8, fuel: int = DEFAULT_FUEL,
-                          seed: int = 0) -> CertificationSummary:
+                          max_weight: int = 8,
+                          fuel: int = DEFAULT_FUEL) -> CertificationSummary:
     """Certify a constructed system as far as the case allows.
 
     All cases get a local-confluence check.  Everything except Case2 then
@@ -392,14 +361,13 @@ def certify_family_system(tag: CaseTag, params: FamilyParams,
     rules demand it); Case2 instead records empirical termination
     evidence and its certification intentionally stays below complete.
     """
-    if system is None:
-        system = build_system(tag, params)
+    system = build_system(tag, params)
     lc = check_local_confluence(system, fuel)
     current = lc.system if lc.joinable else system
     order = None
     empirical = None
     if tag.variant == Case.CASE2:
-        empirical = empirical_termination_probe(system, seed=seed)
+        empirical = empirical_termination_probe(system)
     else:
         cap = required_letter_cap(system, "a")
         order = find_termination_order(system, max_weight,

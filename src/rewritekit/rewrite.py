@@ -1,5 +1,5 @@
-"""Rules, rewriting systems, reduction to normal form, and termination
-certification via weighted-shortlex reduction orders.
+"""Rules, rewriting systems and monoid presentations, reduction to normal
+form, and termination certification via weighted-shortlex reduction orders.
 
 The rewriting strategy is fixed: always rewrite at the leftmost matching
 position, and among rules matching there, the one with the lowest index
@@ -84,10 +84,6 @@ class ReductionOrder:
             if w < 1:
                 raise ValueError(f"weight of {letter!r} must be >= 1, got {w}")
         object.__setattr__(self, "_ranks", _letter_ranks(self.precedence))
-
-    def weight(self, word: Word) -> int:
-        w = self.weights
-        return sum(w[c] for c in word)
 
     def sort_key(self, word: Word):
         """A key that sorts words ascending in this order."""
@@ -290,6 +286,24 @@ def find_termination_order(system: RewritingSystem, max_weight: int = 8,
     return None
 
 
+@dataclass(frozen=True)
+class Presentation:
+    """A monoid presentation: alphabet plus unordered word-pair equations."""
+
+    alphabet: Alphabet
+    equations: tuple[tuple[Word, Word], ...]
+
+    def __post_init__(self) -> None:
+        for lhs, rhs in self.equations:
+            self.alphabet.validate_word(lhs)
+            self.alphabet.validate_word(rhs)
+
+    def __str__(self) -> str:
+        lines = [f"letters: {' '.join(self.alphabet.letters)}"]
+        lines += [f"{print_word(l)} = {print_word(r)}" for l, r in self.equations]
+        return "\n".join(lines)
+
+
 def parse_system_file(text: str) -> RewritingSystem:
     """Parse the system file format::
 
@@ -303,3 +317,14 @@ def parse_system_file(text: str) -> RewritingSystem:
 
 def format_system_file(system: RewritingSystem) -> str:
     return str(system) + "\n"
+
+
+def parse_presentation_file(text: str) -> Presentation:
+    """Parse the presentation file format: a letters: line, then lhs = rhs lines."""
+    alpha, equations = _parse_pair_file(text, "presentation", "equation", "=",
+                                        lambda lhs, rhs: (lhs, rhs))
+    return Presentation(alpha, equations)
+
+
+def format_presentation_file(presentation: Presentation) -> str:
+    return str(presentation) + "\n"

@@ -117,6 +117,17 @@ class TestExitCodes:
         assert cli.main(["equal", "--presentation", pres_file, "ab^2", "b",
                          "--bound", "40", "--nodes", "10"]) == 3
 
+    def test_budget_exhaustion_on_out_of_memory(self, pres_file, monkeypatch, capsys):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.analysis, "dehn_table", out_of_memory)
+        assert cli.main(["dehn", "--presentation", pres_file, "--n", "4"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("budget exhausted: out of memory")
+        assert len(captured.err.splitlines()) == 1
+
 
 class TestCommands:
     def test_nf_prints_normal_form(self, system_file, capsys):
@@ -172,6 +183,21 @@ class TestCommands:
         assert rows[0]["probe"] == "completed"
         assert rows[0]["length_non_increasing"] is True
         assert rows[0]["dehn"][-1][0] == 3
+
+    @pytest.mark.parametrize("equation", ["ab^2a^2b^2 = b", "b = ab^2a^2b^2"])
+    @pytest.mark.parametrize("mode", [[], ["--space"]])
+    def test_equal_default_bound_ignores_equation_orientation(self, equation, mode,
+                                                             tmp_path, capsys):
+        pres = tmp_path / "m.pres"
+        pres.write_text(f"letters: a b\n{equation}\n")
+        argv = ["equal", "--presentation", str(pres), "abbab", "baabb", *mode]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out.strip() == "equal (d=2, s=11)"
+        assert cli.main(argv + ["--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["budgets"]["bound"] == 19  # 5 + 2 * 7
+        assert payload["result"]["status"] == "equal"
+        assert payload["result"]["certificate"]["d"] == 2
 
     def test_equal_space_minimal(self, pres_file, capsys):
         assert cli.main(["equal", "--presentation", pres_file,

@@ -11,14 +11,13 @@ from rewritekit.family import (
     check_derivation_chain,
     classify,
     extended_presentation,
-    format_presentation_file,
     one_relator_presentation,
-    parse_presentation_file,
     required_letter_cap,
     verify_presentation_equivalence,
     x_definition,
 )
-from rewritekit.rewrite import _reduce
+from rewritekit.rewrite import (_reduce, format_presentation_file,
+                               parse_presentation_file)
 from tests.conftest import GRID
 
 

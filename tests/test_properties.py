@@ -1,25 +1,24 @@
 """Seeded property tests for the shared building blocks: the one reduction
-loop and its trace, the system and presentation file formats, and the
-shortlex enumerator behind ``enumerate_elements``."""
+loop and its trace, the system and presentation file formats, the
+shortlex enumerator behind ``enumerate_elements``, and the certificates of
+the equality oracle."""
 
 import itertools
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from rewritekit.analysis import enumerate_elements
-from rewritekit.family import (
-    Presentation,
-    format_presentation_file,
-    parse_presentation_file,
-)
+from rewritekit.analysis import enumerate_elements, equal_in_monoid
 from rewritekit.rewrite import (
     FuelExhausted,
+    Presentation,
     Rule,
     RewritingSystem,
     _reduce,
+    format_presentation_file,
     format_system_file,
     normal_form,
+    parse_presentation_file,
     parse_system_file,
     rewrite_step,
 )
@@ -95,3 +94,42 @@ def test_enumerate_elements_is_filtered_shortlex(system, n):
                     for t in itertools.product(letters, repeat=k)]
     assert enumerate_elements(system, n, allow_uncertified=True) == [
         w for w in full if rewrite_step(system, w) is None]
+
+
+def _moves(equations, w, cap):
+    """Every word one equation application (either direction) away from w
+    within the length cap."""
+    return [w[:p] + new + w[p + len(old):]
+            for lhs, rhs in equations for old, new in ((lhs, rhs), (rhs, lhs))
+            if len(w) - len(old) + len(new) <= cap
+            for p in range(len(w) - len(old) + 1) if w.startswith(old, p)]
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_words("ab", 0, 3), _words("ab", 0, 3)), min_size=1,
+                max_size=3),
+       _words("ab", 0, 5), st.integers(0, 4), st.lists(st.integers(0, 99), max_size=6),
+       st.sampled_from(("steps", "space")))
+def test_equal_certificates_replay_within_the_bound(equations, x, extra, walk,
+                                                     minimize):
+    """y is a random walk from x within the bound, so the pair is equal
+    within it; the certificate must join x to y by recorded applications
+    and be no longer, in steps or in space, than the walk."""
+    pres = Presentation(Alphabet(("a", "b")), tuple(equations))
+    bound = len(x) + extra
+    path = [x]
+    for choice in walk:
+        moves = _moves(pres.equations, path[-1], bound)
+        if moves:
+            path.append(moves[choice % len(moves)])
+    y = path[-1]
+    outcome = equal_in_monoid(pres, x, y, bound, node_budget=5000, minimize=minimize)
+    assert outcome.status == "equal"
+    cert = outcome.certificate
+    assert cert.replay(pres)
+    assert (cert.chain[0], cert.chain[-1]) == (x, y)
+    assert cert.s <= bound
+    if minimize == "steps":
+        assert cert.d <= len(path) - 1
+    else:
+        assert cert.s <= max(map(len, path))

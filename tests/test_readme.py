@@ -1,0 +1,52 @@
+"""The README's examples show what the code computes.
+
+The Python block runs as written, and every expression line whose comment
+is a literal must evaluate to that literal.  The CLI block runs through
+``cli.main`` up to its last ``# -> result`` line, in a directory holding
+the ``m.pres`` the README shows; every command must succeed, and each
+``# ->`` line must print its result.
+"""
+
+import ast
+import re
+import shlex
+from pathlib import Path
+
+from rewritekit import cli
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def test_python_example_shows_what_it_computes():
+    (source,) = re.findall(r"```python\n(.*?)```", README, re.S)
+    lines = source.splitlines()
+    namespace: dict = {}
+    shown = []
+    for stmt in ast.parse(source).body:
+        code = ast.get_source_segment(source, stmt)
+        if isinstance(stmt, ast.Expr):
+            expected = ast.literal_eval(lines[stmt.end_lineno - 1].split("#", 1)[1].strip())
+            assert eval(code, namespace) == expected, code
+            shown.append(expected)
+        else:
+            exec(code, namespace)
+    assert shown == ["b", 1]
+
+
+def test_cli_examples_print_what_they_show(tmp_path, monkeypatch, capsys):
+    (pres,) = re.findall(r"read `m\.pres`.*?\n```\n(.*?)```", README, re.S)
+    (tmp_path / "m.pres").write_text(pres)
+    monkeypatch.chdir(tmp_path)
+    (block,) = [b for b in re.findall(r"```sh\n(.*?)```", README, re.S)
+                if b.startswith("rewritekit ")]
+    commands = [line.partition("#") for line in block.splitlines()]
+    last = max(i for i, (_, _, comment) in enumerate(commands) if comment.startswith(" ->"))
+    checked = []
+    for command, _, comment in commands[:last + 1]:
+        assert cli.main(shlex.split(command)[1:]) == 0, command
+        out = capsys.readouterr().out
+        if comment.startswith(" ->"):
+            expected = comment[len(" ->"):].strip()
+            assert out.strip() == expected, command
+            checked.append(expected)
+    assert checked == ["x^2b", "unequal-within-bound"]
