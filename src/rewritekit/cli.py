@@ -112,7 +112,7 @@ def cmd_build(args) -> int:
         "extra_rule": tag.extra_rule,
         "system": _system(system),
     }
-    failed = False
+    failed = inconclusive = False
     if args.verify:
         eq = _equivalence(args, summary.params, system)
         result["locally_confluent"] = summary.locally_confluent
@@ -125,7 +125,9 @@ def cmd_build(args) -> int:
             "relator_normal_form": _word(eq.relator_normal_form),
         }
         terminates = empirical.all_halted if empirical else summary.order is not None
-        failed = not (summary.locally_confluent and terminates and eq.passed)
+        failed = not (summary.locally_confluent and terminates
+                      and (eq.passed or eq.inconclusive))
+        inconclusive = not failed and eq.inconclusive
     if args.out:
         Path(args.out).write_text(rewrite.format_system_file(system))
     if args.json:
@@ -139,8 +141,15 @@ def cmd_build(args) -> int:
         if system.order:
             print(f"order: {system.order}")
         if args.verify:
-            print(f"verification: {'FAIL' if failed else 'PASS'}")
-    return EXIT_CHECK_FAILED if failed else EXIT_OK
+            print("verification: "
+                  f"{'FAIL' if failed else 'inconclusive' if inconclusive else 'PASS'}")
+    if failed:
+        return EXIT_CHECK_FAILED
+    if inconclusive:
+        print(f"budget exhausted: the {args.nodes}-node budget left the equivalence "
+              "check inconclusive", file=sys.stderr)
+        return EXIT_BUDGET
+    return EXIT_OK
 
 
 def cmd_grid(args) -> int:
@@ -153,6 +162,7 @@ def cmd_grid(args) -> int:
               for name in ("alpha", "beta", "gamma", "delta")]
     rows = []
     truncated = []  # tuples whose Dehn table the node budget cut short
+    undecided = []  # tuples whose equivalence check it left inconclusive
     for exponents in product(*ranges):
         t0 = time.perf_counter()
         row: dict = {"params": list(exponents)}
@@ -172,6 +182,8 @@ def cmd_grid(args) -> int:
             eq = _equivalence(args, params, system)
             row["equivalence"] = ("PASS" if eq.passed else
                                   "inconclusive" if eq.inconclusive else "FAIL")
+            if eq.inconclusive:
+                undecided.append(exponents)
         if "probe" in checks:
             pres = (family.extended_presentation(params)
                     if tag.variant in (family.Case.CASE3, family.Case.CASE4)
@@ -218,9 +230,12 @@ def cmd_grid(args) -> int:
     if truncated:
         print(f"budget exhausted: the {args.nodes}-node budget truncated the Dehn "
               f"table of {', '.join(map(str, truncated))}", file=sys.stderr)
+    if undecided:
+        print(f"budget exhausted: the {args.nodes}-node budget left the equivalence "
+              f"check of {', '.join(map(str, undecided))} inconclusive", file=sys.stderr)
     if hard_failure:
         return EXIT_CHECK_FAILED
-    return EXIT_BUDGET if truncated else EXIT_OK
+    return EXIT_BUDGET if truncated or undecided else EXIT_OK
 
 
 def cmd_complete(args) -> int:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .rewrite import (
@@ -15,7 +15,6 @@ from .rewrite import (
     Rule,
     RewritingSystem,
     _reduce,
-    _upgrade,
     compare,
     verify_termination,
 )
@@ -102,7 +101,6 @@ class LocalConfluenceReport:
     joinable: bool
     pairs_checked: int
     failures: tuple[ConfluenceFailure, ...] = ()
-    system: Optional[RewritingSystem] = None
 
 
 def check_local_confluence(system: RewritingSystem,
@@ -116,11 +114,23 @@ def check_local_confluence(system: RewritingSystem,
         nr = _reduce(pairs, cp.right, fuel)
         if nl != nr:
             failures.append(ConfluenceFailure(cp, nl, nr))
-    if failures:
-        return LocalConfluenceReport(False, len(cps), tuple(failures))
-    upgraded = system.with_certification(
-        _upgrade(system.certification, Certification.LOCALLY_CONFLUENT))
-    return LocalConfluenceReport(True, len(cps), (), upgraded)
+    return LocalConfluenceReport(not failures, len(cps), tuple(failures))
+
+
+def certify(system: RewritingSystem, order: Optional[ReductionOrder] = None,
+            fuel: int = DEFAULT_FUEL) -> RewritingSystem:
+    """The system with its certification set from two checks: local
+    confluence, and termination under ``order`` when one is given.
+
+    Both together make it complete (Newman's lemma).  The order is kept
+    only when it certifies termination.
+    """
+    joinable = check_local_confluence(system, fuel).joinable
+    terminates = order is not None and verify_termination(system, order).certified
+    level = (Certification.COMPLETE if joinable and terminates else
+             Certification.LOCALLY_CONFLUENT if joinable else
+             Certification.TERMINATING if terminates else Certification.UNCERTIFIED)
+    return replace(system, certification=level, order=order if terminates else None)
 
 
 def is_length_non_increasing(system: RewritingSystem) -> bool:
@@ -220,8 +230,7 @@ def knuth_bendix(presentation: Presentation, order: ReductionOrder,
 
     system = RewritingSystem(presentation.alphabet,
                              tuple(Rule(l, r) for l, r in sorted(live)))
-    lc = check_local_confluence(system, fuel)
-    term = verify_termination(lc.system if lc.system else system, order)
-    if not (lc.joinable and term.certified):  # pragma: no cover - self-check
+    system = certify(system, order, fuel)
+    if system.certification != Certification.COMPLETE:  # pragma: no cover - self-check
         raise AssertionError("completion produced a non-complete system")
-    return report("completed", system=term.system)
+    return report("completed", system=system)

@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Optional
 
 from . import analysis
-from .confluence import check_local_confluence
+from .confluence import certify
 from .rewrite import (
     DEFAULT_FUEL,
     Certification,
@@ -27,7 +27,6 @@ from .rewrite import (
     RewritingSystem,
     _reduce,
     find_termination_order,
-    verify_termination,
 )
 from .words import Alphabet, Word, alphabet
 
@@ -100,6 +99,8 @@ def classify(alpha: int, beta: int, gamma: int, delta: int) -> tuple[CaseTag, Fa
 
 def x_definition(params: FamilyParams) -> Word:
     """The word the auxiliary letter abbreviates: a^(pk) b^s."""
+    if not params.overlapping:
+        raise ValueError("x is defined only for an overlapping tuple")
     return "a" * (params.p * params.k) + "b" * params.s
 
 
@@ -159,8 +160,6 @@ def one_relator_presentation(params: FamilyParams) -> Presentation:
 
 def extended_presentation(params: FamilyParams) -> Presentation:
     """<a,b,x | relator = b, a^(pk) b^s = x>; only meaningful when x is defined."""
-    if not params.overlapping:
-        raise ValueError("extended presentation requires an overlapping tuple")
     return Presentation(ABX, ((params.relator, "b"), (x_definition(params), AUX_LETTER)))
 
 
@@ -202,7 +201,9 @@ class EquivalenceReport:
 
     @property
     def inconclusive(self) -> bool:
-        return any(r.status == "inconclusive" for r in self.rule_results)
+        """No check failed, but the node budget left some rule undecided."""
+        return (self.relator_normal_forms_match and not self.passed
+                and all(r.status != "unequal-within-bound" for r in self.rule_results))
 
 
 def _oracle_with_deepening(presentation: Presentation, lhs: Word, rhs: Word,
@@ -291,20 +292,6 @@ def check_derivation_chain(params: FamilyParams,
     return ChainReport(tuple(out))
 
 
-def required_letter_cap(system: RewritingSystem, letter: str) -> int:
-    """Smallest weight of ``letter`` that can orient every weight-decided rule
-    when all other letters weigh 1.  Used to widen the order search for
-    systems whose rules trade one letter for many others.
-    """
-    need = 1
-    for rule in system.rules:
-        n_l, m_l = rule.lhs.count(letter), rule.rhs.count(letter)
-        n_o, m_o = len(rule.lhs) - n_l, len(rule.rhs) - m_l
-        if n_l > m_l:
-            need = max(need, max(0, m_o - n_o) // (n_l - m_l) + 1)
-    return need
-
-
 @dataclass(frozen=True)
 class EmpiricalTermination:
     samples: int
@@ -357,23 +344,17 @@ def certify_family_system(tag: CaseTag, params: FamilyParams,
     """Certify a constructed system as far as the case allows.
 
     All cases get a local-confluence check.  Everything except Case2 then
-    gets a termination-order search (widened on the letter a when the
-    rules demand it); Case2 instead records empirical termination
-    evidence and its certification intentionally stays below complete.
+    gets a termination-order search; Case2 instead records empirical
+    termination evidence and its certification intentionally stays below
+    complete.
     """
     system = build_system(tag, params)
-    lc = check_local_confluence(system, fuel)
-    current = lc.system if lc.joinable else system
-    order = None
-    empirical = None
+    order = empirical = None
     if tag.variant == Case.CASE2:
         empirical = empirical_termination_probe(system)
     else:
-        cap = required_letter_cap(system, "a")
-        order = find_termination_order(system, max_weight,
-                                       per_letter_max={"a": max(max_weight, cap)})
-        if order is not None:
-            report = verify_termination(current, order)
-            if report.certified:
-                current = report.system
-    return CertificationSummary(tag, params, current, lc.joinable, order, empirical)
+        order = find_termination_order(system, max_weight)
+    system = certify(system, order, fuel)
+    locally_confluent = system.certification in (Certification.LOCALLY_CONFLUENT,
+                                                  Certification.COMPLETE)
+    return CertificationSummary(tag, params, system, locally_confluent, order, empirical)

@@ -9,7 +9,7 @@ this choice only pins down traces and makes every run reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from itertools import permutations, product
 from typing import Mapping, Optional
@@ -144,11 +144,6 @@ class RewritingSystem:
     def rule_pairs(self) -> tuple[tuple[Word, Word], ...]:
         return tuple((r.lhs, r.rhs) for r in self.rules)
 
-    def with_certification(self, certification: Certification,
-                           order: Optional[ReductionOrder] = None) -> "RewritingSystem":
-        return replace(self, certification=certification,
-                       order=order if order is not None else self.order)
-
     def __str__(self) -> str:
         lines = [f"letters: {' '.join(self.alphabet.letters)}"]
         lines += [str(rule) for rule in self.rules]
@@ -227,56 +222,50 @@ def normal_form(system: RewritingSystem, w: Word,
 @dataclass(frozen=True)
 class TerminationReport:
     certified: bool
-    order: ReductionOrder
     failing_rule: Optional[int] = None
-    system: Optional[RewritingSystem] = None
-
-
-def _upgrade(certification: Certification, fact: Certification) -> Certification:
-    """Combine an established fact (locally confluent or terminating) with
-    the current certification state."""
-    if certification in (fact, Certification.COMPLETE):
-        return certification
-    if certification == Certification.UNCERTIFIED:
-        return fact
-    return Certification.COMPLETE  # the other fact already holds: Newman's lemma
 
 
 def verify_termination(system: RewritingSystem, order: ReductionOrder) -> TerminationReport:
     """Check every rule strictly descends under ``order``.
 
     Weighted shortlex is compatible with concatenation, so rule-wise
-    descent is sufficient for termination.  On success the report carries
-    a copy of the system with its certification upgraded.
+    descent is sufficient for termination.
     """
     for idx, rule in enumerate(system.rules):
         if compare(order, rule.lhs, rule.rhs) != GREATER:
-            return TerminationReport(False, order, failing_rule=idx)
-    upgraded = system.with_certification(
-        _upgrade(system.certification, Certification.TERMINATING), order=order)
-    return TerminationReport(True, order, system=upgraded)
+            return TerminationReport(False, failing_rule=idx)
+    return TerminationReport(True)
 
 
-def find_termination_order(system: RewritingSystem, max_weight: int = 8,
-                           per_letter_max: Optional[Mapping[str, int]] = None,
-                           ) -> Optional[ReductionOrder]:
+def _weight_needed(pairs, letter: str) -> int:
+    """Smallest weight of ``letter`` that orients every rule the weights
+    decide when every other letter weighs 1."""
+    need = 1
+    for lhs, rhs in pairs:
+        n_l, m_l = lhs.count(letter), rhs.count(letter)
+        if n_l > m_l:
+            n_o, m_o = len(lhs) - n_l, len(rhs) - m_l
+            need = max(need, max(0, m_o - n_o) // (n_l - m_l) + 1)
+    return need
+
+
+def find_termination_order(system: RewritingSystem,
+                           max_weight: int = 8) -> Optional[ReductionOrder]:
     """Exhaustive search for a certifying weighted-shortlex order.
 
-    Scans all precedence permutations and all weight vectors with values
-    in ``[1, max_weight]`` (optionally widened per letter), returning the
-    first order under which every rule strictly descends, or ``None``.
+    Scans all precedence permutations and all weight vectors with each
+    letter's weight in ``[1, max(max_weight, need)]`` (``need`` from
+    :func:`_weight_needed`), returning the first order under which every
+    rule strictly descends, or ``None``.
     """
     if max_weight < 1:
         raise ValueError("max weight must be >= 1")
     letters = system.alphabet.letters
-    caps = {c: max_weight for c in letters}
-    if per_letter_max:
-        for c, cap in per_letter_max.items():
-            caps[c] = max(caps.get(c, max_weight), cap)
     pairs = system.rule_pairs()
+    ranges = [range(1, max(max_weight, _weight_needed(pairs, c)) + 1) for c in letters]
     for prec in permutations(letters):
         ranks = _letter_ranks(prec)
-        for vec in product(*(range(1, caps[c] + 1) for c in letters)):
+        for vec in product(*ranges):
             weights = dict(zip(letters, vec))
             for lhs, rhs in pairs:
                 if _order_key(weights, ranks, lhs) <= _order_key(weights, ranks, rhs):

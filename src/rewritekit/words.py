@@ -19,7 +19,8 @@ class WordSyntaxError(ValueError):
 
 @dataclass(frozen=True)
 class Alphabet:
-    """An ordered collection of distinct single-character letters.
+    """An ordered collection of distinct single-character letters, each
+    alphabetic (so ``1``, ``^``, ``#`` and separators stay syntax).
 
     The construction order is fixed and doubles as the default letter
     precedence (earlier letter = greater) and as the enumeration order
@@ -32,8 +33,8 @@ class Alphabet:
         if not self.letters:
             raise ValueError("alphabet must contain at least one letter")
         for letter in self.letters:
-            if len(letter) != 1:
-                raise ValueError(f"letters must be single characters, got {letter!r}")
+            if len(letter) != 1 or not letter.isalpha():
+                raise ValueError(f"letters must be single alphabetic characters, got {letter!r}")
         if len(set(self.letters)) != len(self.letters):
             raise ValueError(f"duplicate letters in {self.letters!r}")
 
@@ -72,8 +73,11 @@ def parse_word(text: str, alpha: Alphabet) -> Word:
     """Expand concrete word syntax like ``a^2b^2ab^2`` to a letter string.
 
     The syntax is ``letter(^positive-integer)?`` repeated; the empty
-    string denotes the identity.  Round-trips with :func:`print_word`.
+    string and the text ``1`` denote the identity.  Round-trips with
+    :func:`print_word`, and with the report form ``print_word(w) or "1"``.
     """
+    if text == "1":
+        return ""
     out: list[str] = []
     i = 0
     while i < len(text):

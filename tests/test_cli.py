@@ -117,6 +117,47 @@ class TestExitCodes:
         assert cli.main(["equal", "--presentation", pres_file, "ab^2", "b",
                          "--bound", "40", "--nodes", "10"]) == 3
 
+    def test_budget_exhaustion_on_inconclusive_build_verification(self, capsys):
+        # ten nodes decide no rule, but no check fails
+        assert cli.main(["build", "--params", "1", "2", "2", "2", "--verify",
+                         "--nodes", "10"]) == 3
+        captured = capsys.readouterr()
+        assert "verification: inconclusive" in captured.out
+        assert captured.err.startswith("budget exhausted:")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_budget_exhaustion_on_inconclusive_grid_equivalence(self, capsys):
+        assert cli.main(["grid", "--range", "1..1", "--beta", "2", "--gamma", "2",
+                         "--delta", "2", "--checks", "equivalence", "--nodes", "10"]) == 3
+        captured = capsys.readouterr()
+        assert "equivalence=inconclusive" in captured.out
+        assert captured.err.startswith("budget exhausted:")
+        assert "(1, 2, 2, 2)" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_check_failure_wins_over_inconclusive_rules(self, monkeypatch, capsys):
+        original = cli.family.verify_presentation_equivalence
+
+        def mismatched(*args, **kwargs):
+            report = original(*args, **kwargs)
+            return cli.family.EquivalenceReport(report.rule_results, False,
+                                                report.relator_normal_form)
+
+        monkeypatch.setattr(cli.family, "verify_presentation_equivalence", mismatched)
+        assert cli.main(["build", "--params", "1", "2", "2", "2", "--verify",
+                         "--nodes", "10"]) == 1
+        assert "verification: FAIL" in capsys.readouterr().out
+        assert cli.main(["grid", "--range", "1..1", "--beta", "2", "--gamma", "2",
+                         "--delta", "2", "--checks", "equivalence", "--nodes", "10"]) == 1
+        assert "equivalence=FAIL" in capsys.readouterr().out
+
+    def test_usage_error_on_non_alphabetic_letter(self, tmp_path, capsys):
+        # '#' would start a comment, so '#a = a' could never be read
+        pres = tmp_path / "hash.pres"
+        pres.write_text("letters: a #\n#a = a\n")
+        assert cli.main(["equal", "--presentation", str(pres), "#a", "a"]) == 2
+        assert "'#'" in capsys.readouterr().err
+
     def test_budget_exhaustion_on_out_of_memory(self, pres_file, monkeypatch, capsys):
         def out_of_memory(*args, **kwargs):
             raise MemoryError
@@ -240,6 +281,18 @@ class TestCommands:
         assert cli.main(["build", "--params", "1", "2", "2", "2", "--verify",
                          "--fuel", "777"]) == 0
         assert [kwargs.get("fuel") for kwargs in seen] == [777]
+
+    def test_identity_round_trips_as_1(self, system_file, pres_file, capsys):
+        assert cli.main(["nf", "--system", system_file, "1"]) == 0
+        assert capsys.readouterr().out.strip() == "1"
+        assert cli.main(["nf", "--system", system_file, "--json", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["word"] == "1"
+        assert cli.main(["equal", "--presentation", pres_file, "1", "1"]) == 0
+        assert capsys.readouterr().out.strip() == "equal (d=0, s=0)"
+        for image in ("1", ""):
+            assert cli.main(["endo", "--params", "1", "2", "2", "2",
+                             "--map", f"a=a,b={image}"]) == 0
+            assert capsys.readouterr().out.startswith("map a=a,b=1: does not lift")
 
     def test_empty_rule_side_prints_as_identity(self, tmp_path, capsys):
         pres = tmp_path / "p.pres"

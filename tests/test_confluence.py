@@ -7,6 +7,7 @@ import rewritekit as rk
 from rewritekit.confluence import (
     CompletionStats,
     _pairs_for_rules,
+    certify,
     check_local_confluence,
     critical_pairs,
     is_length_non_increasing,
@@ -139,7 +140,7 @@ class TestLocalConfluence:
     def test_demo_is_joinable(self, demo):
         report = check_local_confluence(demo)
         assert report.joinable
-        assert report.system.certification == rk.Certification.LOCALLY_CONFLUENT
+        assert certify(demo).certification == rk.Certification.LOCALLY_CONFLUENT
 
     def test_single_rule_not_joinable(self):
         report = check_local_confluence(system(AB, ("abab", "b")))
@@ -171,6 +172,32 @@ class TestLocalConfluence:
                  else u[:p] + "b" + u[p + 7:])
             assert _reduce(rules, u, 10**6) == _reduce(rules, v, 10**6)
             checked += 1
+
+
+class TestCertify:
+    ORDER = ReductionOrder({"a": 1, "b": 1}, ("a", "b"))
+
+    @pytest.mark.parametrize("rules, order, level", [
+        ((("abab", "b"), ("abb", "bab")), ORDER, rk.Certification.COMPLETE),
+        ((("abab", "b"), ("abb", "bab")), None, rk.Certification.LOCALLY_CONFLUENT),
+        ((("abab", "b"),), ORDER, rk.Certification.TERMINATING),
+        ((("b", "ab"),), None, rk.Certification.LOCALLY_CONFLUENT),
+        # aab reduces to bb and to b; a heavy b leaves aa -> b unoriented
+        ((("aa", "b"), ("ab", "a")), ReductionOrder({"a": 1, "b": 5}, ("a", "b")),
+         rk.Certification.UNCERTIFIED),
+    ])
+    def test_level_from_both_verdicts(self, rules, order, level):
+        certified = certify(system(AB, *rules), order)
+        assert certified.certification == level
+        terminates = level in (rk.Certification.TERMINATING, rk.Certification.COMPLETE)
+        assert certified.order == (order if terminates else None)
+
+    def test_an_order_that_fails_is_dropped(self):
+        s = system(AB, ("b", "ab"))
+        assert certify(s, self.ORDER).order is None
+        # the level comes from the two checks alone, not from the input's level
+        complete = certify(system(AB, ("abab", "b"), ("abb", "bab")), self.ORDER)
+        assert certify(complete).certification == rk.Certification.LOCALLY_CONFLUENT
 
 
 class TestKnuthBendix:

@@ -12,11 +12,10 @@ from rewritekit.family import (
     classify,
     extended_presentation,
     one_relator_presentation,
-    required_letter_cap,
     verify_presentation_equivalence,
     x_definition,
 )
-from rewritekit.rewrite import (_reduce, format_presentation_file,
+from rewritekit.rewrite import (_reduce, _weight_needed, format_presentation_file,
                                parse_presentation_file)
 from tests.conftest import GRID
 
@@ -96,6 +95,12 @@ class TestBuildSystem:
         _, params = classify(1, 2, 2, 2)
         assert x_definition(params) == "aabb"
 
+    def test_x_undefined_without_overlap(self):
+        _, params = classify(1, 1, 1, 2)
+        for build in (x_definition, extended_presentation):
+            with pytest.raises(ValueError, match="overlapping"):
+                build(params)
+
 
 class TestEquivalence:
     def test_demo_equivalence(self):
@@ -169,7 +174,7 @@ class TestCertification:
     def test_case4_weight_cap_is_computed(self):
         tag, params = classify(1, 4, 4, 2)
         system = build_system(tag, params)
-        assert required_letter_cap(system, "a") == 12
+        assert _weight_needed(system.rule_pairs(), "a") == 12
         summary = certify_family_system(tag, params)
         assert summary.certification == rk.Certification.COMPLETE
 

@@ -1,7 +1,8 @@
 """Seeded property tests for the shared building blocks: the one reduction
 loop and its trace, the system and presentation file formats, the
-shortlex enumerator behind ``enumerate_elements``, and the certificates of
-the equality oracle."""
+shortlex enumerator behind ``enumerate_elements``, the certificates of
+the equality oracle, and the weighted-shortlex reduction order and its
+search."""
 
 import itertools
 
@@ -12,15 +13,20 @@ from rewritekit.analysis import enumerate_elements, equal_in_monoid
 from rewritekit.rewrite import (
     FuelExhausted,
     Presentation,
+    ReductionOrder,
     Rule,
     RewritingSystem,
     _reduce,
+    _weight_needed,
+    compare,
+    find_termination_order,
     format_presentation_file,
     format_system_file,
     normal_form,
     parse_presentation_file,
     parse_system_file,
     rewrite_step,
+    verify_termination,
 )
 from rewritekit.words import Alphabet, _shortlex_words, parse_word, print_word
 
@@ -33,10 +39,10 @@ def _words(letters, min_size=0, max_size=6):
 
 
 @st.composite
-def _systems(draw, shrinking=False):
-    """A system over one of LETTER_SETS; with ``shrinking`` every rule is
-    length-reducing, so every reduction terminates."""
-    letters = draw(st.sampled_from(LETTER_SETS))
+def _systems(draw, shrinking=False, letter_sets=LETTER_SETS):
+    """A system over one of ``letter_sets``; with ``shrinking`` every rule
+    is length-reducing, so every reduction terminates."""
+    letters = draw(st.sampled_from(letter_sets))
     pairs = []
     for lhs in draw(st.lists(_words(letters, 1, 4), max_size=5)):
         rhs = draw(_words(letters, 0, len(lhs) - 1 if shrinking else 4))
@@ -84,6 +90,7 @@ def test_presentation_file_round_trip(drawn):
 def test_word_print_parse_round_trip(drawn):
     alpha, w = drawn
     assert parse_word(print_word(w), alpha) == w
+    assert parse_word(print_word(w) or "1", alpha) == w  # the report form
 
 
 @given(_systems(), st.integers(0, 5))
@@ -133,3 +140,41 @@ def test_equal_certificates_replay_within_the_bound(equations, x, extra, walk,
         assert cert.d <= len(path) - 1
     else:
         assert cert.s <= max(map(len, path))
+
+
+def _orders(letters):
+    return st.tuples(st.lists(st.integers(1, 6), min_size=len(letters),
+                              max_size=len(letters)),
+                     st.permutations(letters)).map(
+        lambda drawn: ReductionOrder(dict(zip(letters, drawn[0])), tuple(drawn[1])))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(LETTER_SETS).flatmap(lambda letters: st.tuples(
+    _orders(letters), *(_words(letters, 0, 8) for _ in range(5)))))
+def test_compare_is_a_reduction_order(drawn):
+    """Antisymmetric, total (0 exactly on identical words), transitive, and
+    compatible with concatenation on both sides."""
+    order, u, v, w, left, right = drawn
+    c = compare(order, u, v)
+    assert compare(order, v, u) == -c
+    assert (c == 0) == (u == v)
+    if c == compare(order, v, w):
+        assert compare(order, u, w) == c
+    assert compare(order, left + u, left + v) == c
+    assert compare(order, u + right, v + right) == c
+
+
+@given(st.booleans().flatmap(lambda shrinking: _systems(shrinking, ("ab", "abx"))),
+       st.integers(1, 3))
+def test_found_orders_certify_termination(system, max_weight):
+    """Every order the search returns orients every rule, and stays inside
+    each letter's range max(max_weight, weight needed)."""
+    order = find_termination_order(system, max_weight)
+    if all(len(r.lhs) > len(r.rhs) for r in system.rules):
+        assert order is not None  # all weights 1 orient length-reducing rules
+    if order is not None:
+        assert verify_termination(system, order).certified
+        pairs = system.rule_pairs()
+        for letter, weight in order.weights.items():
+            assert weight <= max(max_weight, _weight_needed(pairs, letter))
