@@ -186,6 +186,13 @@ def _bidirectional_search(rules, x: Word, y: Word, cap: int,
                     if best is None or total < best[0]:
                         best = (total, w2)
                 if len(this_vis) > room:
+                    # best is step-minimal although the level is cut short.
+                    # With K the other side's completed depth, a meet
+                    # totalling less than depth + K joins a word of this
+                    # level to an other-side word of depth below K; the
+                    # word's tree parent neighbours that one, so the other
+                    # side reached it by depth K, a meet on an earlier
+                    # level, and the loop-top check would have returned
                     if best is not None:
                         return EqualityOutcome(
                             "equal", _build_certificate(rules, best[1], vis_f, vis_b))
@@ -203,10 +210,19 @@ def equal_in_monoid(presentation: Presentation, x: Word, y: Word,
 
     ``minimize="steps"`` returns a certificate with the fewest
     applications among bounded derivations; ``minimize="space"`` instead
-    deepens the length cap one letter at a time, so the certificate's
-    ``s`` is exactly the least achievable intermediate-length bound.
+    returns the fewest applications under the least length cap that
+    connects x and y, so the certificate's ``s`` is exactly the least
+    achievable intermediate-length bound.
     Callers without a bound of their own use ``max(|x|, |y|)`` plus
     :func:`default_slack`.
+
+    Space mode searches at ``bound`` first.  An ``unequal-within-bound``
+    answer there holds under every smaller cap, so it is returned at once;
+    a cap that would have run out of nodes never turns it into
+    ``inconclusive``.  Otherwise the cap deepens one letter at a time from
+    ``max(|x|, |y|)``, up to the first answer's ``s`` when it is ``equal``
+    and up to ``bound`` when it is ``inconclusive``, and the first answer
+    that is not ``unequal-within-bound`` is returned.
     """
     presentation.alphabet.validate_word(x)
     presentation.alphabet.validate_word(y)
@@ -215,14 +231,16 @@ def equal_in_monoid(presentation: Presentation, x: Word, y: Word,
     if minimize not in ("steps", "space"):
         raise ValueError(f"unknown minimize mode {minimize!r}")
     rules = _directed(presentation.equations)
-    if minimize == "space":
-        outcome = EqualityOutcome("unequal-within-bound")
-        for cap in range(max(len(x), len(y)), bound + 1):
-            outcome = _bidirectional_search(rules, x, y, cap, node_budget)
-            if outcome.status != "unequal-within-bound":
-                return outcome
+    outcome = _bidirectional_search(rules, x, y, bound, node_budget)
+    if minimize == "steps" or outcome.status == "unequal-within-bound":
         return outcome
-    return _bidirectional_search(rules, x, y, bound, node_budget)
+    top = outcome.certificate.s if outcome.certificate else bound
+    for cap in range(max(len(x), len(y)), top + 1):
+        found = (outcome if cap == bound
+                 else _bidirectional_search(rules, x, y, cap, node_budget))
+        if found.status != "unequal-within-bound":
+            return found
+    return outcome
 
 
 @dataclass(frozen=True)

@@ -295,7 +295,11 @@ def cmd_equal(args) -> int:
         print(f"equal (d={c.d}, s={c.s})")
     else:
         print(outcome.status)
-    return EXIT_BUDGET if outcome.status == "inconclusive" else EXIT_OK
+    if outcome.status == "inconclusive":
+        print(f"budget exhausted: the {args.nodes}-node budget left the query "
+              "inconclusive", file=sys.stderr)
+        return EXIT_BUDGET
+    return EXIT_OK
 
 
 def cmd_dehn(args) -> int:

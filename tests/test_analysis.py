@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rewritekit as rk
+from rewritekit import analysis
 from rewritekit.analysis import (
     DehnSample,
     _partnered_seeds,
@@ -176,6 +177,57 @@ class TestEqualInMonoid:
             assert outcome.status == "equal"
             assert outcome.certificate.s == expected
             assert max(len(w) for w in outcome.certificate.chain) == expected
+
+
+@pytest.fixture()
+def search_caps(monkeypatch):
+    """The length cap of every bidirectional search run while it is in use."""
+    caps = []
+    search = analysis._bidirectional_search
+
+    def counted(rules, x, y, cap, node_budget):
+        caps.append(cap)
+        return search(rules, x, y, cap, node_budget)
+
+    monkeypatch.setattr(analysis, "_bidirectional_search", counted)
+    return caps
+
+
+class TestSpaceMode:
+    BB_A = rk.Presentation(AB, (("bb", "a"),))
+
+    def test_unequal_at_the_bound_is_not_lost_to_a_small_cap(self):
+        # cap 5 runs out of 8 nodes, but the search at the bound proves
+        # the pair unequal, and so does every cap below it
+        assert equal_in_monoid(self.BB_A, "bbbaa", "bbb", 9, node_budget=8,
+                               minimize="space").status == "unequal-within-bound"
+        assert equal_in_monoid(self.BB_A, "bbbaa", "bbb", 5, node_budget=8,
+                               minimize="space").status == "inconclusive"
+
+    def test_unequal_pair_runs_one_search(self, demo, search_caps):
+        _, pres, _ = demo
+        outcome = equal_in_monoid(pres, "abb", "b", 9, minimize="space")
+        assert outcome.status == "unequal-within-bound"
+        assert search_caps == [9]
+
+    def test_equal_pair_deepens_only_up_to_its_s(self, demo, search_caps):
+        _, pres, params = demo
+        for u, v in (("abbab", "baabb"), (params.relator, "b")):
+            search_caps.clear()
+            outcome = equal_in_monoid(pres, u, v, 40, minimize="space")
+            assert outcome.status == "equal"
+            lo = max(len(u), len(v))
+            assert len(search_caps) <= outcome.certificate.s - lo + 2
+            assert search_caps[0] == 40 and search_caps[1:] == list(
+                range(lo, outcome.certificate.s + 1))
+
+    def test_steps_mode_runs_one_search(self, demo, search_caps):
+        _, pres, params = demo
+        for u, v, bound in (("abbab", "baabb", 40), ("abb", "b", 9),
+                            (params.relator, "b", 40)):
+            search_caps.clear()
+            equal_in_monoid(pres, u, v, bound)
+            assert search_caps == [bound]
 
 
 class TestDehn:

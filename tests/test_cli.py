@@ -15,6 +15,13 @@ def pres_file(tmp_path):
 
 
 @pytest.fixture()
+def bb_a_file(tmp_path):
+    path = tmp_path / "bb.pres"
+    path.write_text("letters: a b\nbb = a\n")
+    return str(path)
+
+
+@pytest.fixture()
 def system_file(tmp_path):
     path = tmp_path / "demo.rs"
     assert cli.main(["build", "--params", "1", "2", "2", "2",
@@ -116,6 +123,23 @@ class TestExitCodes:
     def test_budget_exhaustion_on_tiny_oracle(self, pres_file, capsys):
         assert cli.main(["equal", "--presentation", pres_file, "ab^2", "b",
                          "--bound", "40", "--nodes", "10"]) == 3
+
+    def test_budget_exhaustion_on_inconclusive_equal(self, bb_a_file, capsys):
+        assert cli.main(["equal", "--presentation", bb_a_file, "bbbaa", "bbb",
+                         "--bound", "9", "--nodes", "3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "inconclusive\n"
+        assert captured.err.startswith("budget exhausted:")
+        assert len(captured.err.splitlines()) == 1
+
+    def test_space_mode_unequal_at_the_bound_despite_a_small_cap(self, bb_a_file,
+                                                                 capsys):
+        # cap 5 alone runs out of 8 nodes; the search at the bound decides
+        assert cli.main(["equal", "--presentation", bb_a_file, "bbbaa", "bbb",
+                         "--bound", "9", "--nodes", "8", "--space"]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "unequal-within-bound\n"
+        assert captured.err == ""
 
     def test_budget_exhaustion_on_inconclusive_build_verification(self, capsys):
         # ten nodes decide no rule, but no check fails

@@ -112,6 +112,17 @@ def _moves(equations, w, cap):
             for p in range(len(w) - len(old) + 1) if w.startswith(old, p)]
 
 
+def _walk(equations, x, cap, choices):
+    """A random walk from x by equation applications within the length cap:
+    each choice picks one of the current word's moves, if it has any."""
+    path = [x]
+    for choice in choices:
+        moves = _moves(equations, path[-1], cap)
+        if moves:
+            path.append(moves[choice % len(moves)])
+    return path
+
+
 @settings(max_examples=300)
 @given(st.lists(st.tuples(_words("ab", 0, 3), _words("ab", 0, 3)), min_size=1,
                 max_size=3),
@@ -124,11 +135,7 @@ def test_equal_certificates_replay_within_the_bound(equations, x, extra, walk,
     and be no longer, in steps or in space, than the walk."""
     pres = Presentation(Alphabet(("a", "b")), tuple(equations))
     bound = len(x) + extra
-    path = [x]
-    for choice in walk:
-        moves = _moves(pres.equations, path[-1], bound)
-        if moves:
-            path.append(moves[choice % len(moves)])
+    path = _walk(pres.equations, x, bound, walk)
     y = path[-1]
     outcome = equal_in_monoid(pres, x, y, bound, node_budget=5000, minimize=minimize)
     assert outcome.status == "equal"
@@ -140,6 +147,30 @@ def test_equal_certificates_replay_within_the_bound(equations, x, extra, walk,
         assert cert.d <= len(path) - 1
     else:
         assert cert.s <= max(map(len, path))
+
+
+@settings(max_examples=500)
+@given(st.lists(st.tuples(_words("ab", 0, 3), _words("ab", 0, 3)), min_size=1,
+                max_size=2),
+       _words("ab", 0, 5), st.integers(0, 4), st.lists(st.integers(0, 99), max_size=6))
+def test_budget_cut_certificates_stay_minimal(equations, x, extra, walk):
+    """An ``equal`` answer under a node budget of 3 to 40 is as minimal as
+    one under the default budget: steps mode keeps the least ``d``, and
+    space mode the ``s`` of the least cap at which x and y are equal."""
+    pres = Presentation(Alphabet(("a", "b")), tuple(equations))
+    bound = len(x) + extra
+    y = _walk(pres.equations, x, bound, walk)[-1]
+    d = equal_in_monoid(pres, x, y, bound).certificate.d
+    s = next(cap for cap in range(max(len(x), len(y)), bound + 1)
+             if equal_in_monoid(pres, x, y, cap).status == "equal")
+    for budget in range(3, 41):
+        steps = equal_in_monoid(pres, x, y, bound, node_budget=budget)
+        if steps.status == "equal":
+            assert steps.certificate.d == d
+        space = equal_in_monoid(pres, x, y, bound, node_budget=budget,
+                                minimize="space")
+        if space.status == "equal":
+            assert space.certificate.s == s
 
 
 def _orders(letters):
