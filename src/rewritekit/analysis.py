@@ -145,7 +145,13 @@ def _build_certificate(rules, meet: Word, vis_f, vis_b) -> EqualityCertificate:
 
 def _bidirectional_search(rules, x: Word, y: Word, cap: int,
                           node_budget: int) -> EqualityOutcome:
-    """Bidirectional BFS between x and y under the directed ``rules``."""
+    """Bidirectional BFS between x and y under the directed ``rules``.
+
+    It has three exits: ``equal`` with a step-minimal certificate at the
+    first word both trees reach, ``unequal-within-bound`` when a side's
+    frontier empties first, and ``inconclusive`` when the two trees
+    together outgrow the node budget first.
+    """
     if x == y:
         return EqualityOutcome("equal",
                                EqualityCertificate((x,), (), 0, len(x)))
@@ -154,18 +160,9 @@ def _bidirectional_search(rules, x: Word, y: Word, cap: int,
     vis_b = {y: (0, None)}
     frontier_f, frontier_b = [x], [y]
     depth_f = depth_b = 0
-    best: Optional[tuple[int, Word]] = None
 
     while True:
-        # a recorded meet is provably minimal once no shorter path can
-        # remain uncaught by the completed levels
-        if best is not None and best[0] <= depth_f + depth_b + 1:
-            return EqualityOutcome("equal",
-                                   _build_certificate(rules, best[1], vis_f, vis_b))
         if not frontier_f or not frontier_b:
-            if best is not None:
-                return EqualityOutcome("equal",
-                                       _build_certificate(rules, best[1], vis_f, vis_b))
             return EqualityOutcome("unequal-within-bound")
 
         forward = len(frontier_f) <= len(frontier_b)
@@ -180,22 +177,16 @@ def _bidirectional_search(rules, x: Word, y: Word, cap: int,
                     continue
                 this_vis[w2] = (depth, w)
                 new_frontier.append(w2)
-                met = other_vis.get(w2)
-                if met is not None:
-                    total = depth + met[0]
-                    if best is None or total < best[0]:
-                        best = (total, w2)
+                if w2 in other_vis:
+                    # the first meet is step-minimal.  With K the other
+                    # side's completed depth, a meet on this level totalling
+                    # less than depth + K finds w2 at an other-side depth
+                    # below K; w neighbours w2, so the other side reached w
+                    # by depth K, a meet on an earlier level, which would
+                    # have returned already
+                    return EqualityOutcome(
+                        "equal", _build_certificate(rules, w2, vis_f, vis_b))
                 if len(this_vis) > room:
-                    # best is step-minimal although the level is cut short.
-                    # With K the other side's completed depth, a meet
-                    # totalling less than depth + K joins a word of this
-                    # level to an other-side word of depth below K; the
-                    # word's tree parent neighbours that one, so the other
-                    # side reached it by depth K, a meet on an earlier
-                    # level, and the loop-top check would have returned
-                    if best is not None:
-                        return EqualityOutcome(
-                            "equal", _build_certificate(rules, best[1], vis_f, vis_b))
                     return EqualityOutcome("inconclusive")
         if forward:
             frontier_f, depth_f = new_frontier, depth

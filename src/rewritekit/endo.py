@@ -15,7 +15,7 @@ from typing import Mapping, Optional
 
 from .family import certify_family_system, classify, one_relator_presentation
 from .rewrite import DEFAULT_FUEL, Presentation, RewritingSystem, _reduce
-from .words import Word, _shortlex_words, print_word
+from .words import Word, _shortlex_words, parse_word, print_word
 
 DEMO_EXPONENTS = (1, 2, 2, 2)
 
@@ -32,14 +32,14 @@ class EndomorphismSpec:
 
 def parse_endomorphism(text: str, presentation: Presentation) -> EndomorphismSpec:
     """Parse the CLI map syntax ``a=a,b=bab``."""
-    from .words import parse_word
-
     images = {}
     for item in text.split(","):
         if "=" not in item:
             raise ValueError(f"bad image {item!r}; expected letter=word")
         g, w = item.split("=", 1)
         g = g.strip()
+        if g in images:
+            raise ValueError(f"letter {g!r} has two images")
         images[g] = parse_word(w.strip(), presentation.alphabet)
     spec = EndomorphismSpec(images)
     validate_endomorphism(spec, presentation)

@@ -111,13 +111,13 @@ def parse_order(text: str) -> ReductionOrder:
     """Parse ``weights: a=4 b=1 x=2; precedence: x>b>a``."""
     try:
         wpart, ppart = text.split(";")
-        weights = {}
-        for item in wpart.split(":", 1)[1].split():
-            letter, value = item.split("=")
-            weights[letter] = int(value)
+        items = [item.split("=") for item in wpart.split(":", 1)[1].split()]
+        weights = {letter: int(value) for letter, value in items}
         precedence = tuple(ppart.split(":", 1)[1].strip().split(">"))
     except (ValueError, IndexError) as exc:
         raise ValueError(f"bad order syntax: {text!r}") from exc
+    if len(weights) < len(items):
+        raise ValueError(f"bad order syntax: {text!r} weighs a letter twice")
     return ReductionOrder(weights, precedence)
 
 

@@ -57,18 +57,17 @@ def bfs_graph(equations, seeds, cap):
     return seen, edges
 
 
-def bfs_distance(edges_by_node, src, dst):
+def bfs_distances(edges_by_node, src):
+    """Distance from ``src`` to every word it reaches."""
     dist = {src: 0}
     queue = deque([src])
     while queue:
         w = queue.popleft()
-        if w == dst:
-            return dist[w]
         for w2 in edges_by_node.get(w, ()):
             if w2 not in dist:
                 dist[w2] = dist[w] + 1
                 queue.append(w2)
-    return None
+    return dist
 
 
 @pytest.fixture(scope="module")
@@ -148,8 +147,9 @@ class TestEqualInMonoid:
         checked = 0
         rng = random.Random(31)
         for i, u in enumerate(words6):
+            dist = bfs_distances(by_node, u)
             for v in words6[i + 1:]:
-                d = bfs_distance(by_node, u, v)
+                d = dist.get(v)
                 if d is None:
                     # spot-check disagreement; exhausting components for all
                     # ~8000 unequal pairs adds nothing but runtime
@@ -162,6 +162,27 @@ class TestEqualInMonoid:
                 assert outcome.certificate.d == d, (u, v)
                 checked += 1
         assert checked >= 30  # the graph genuinely contains equal pairs
+
+    @pytest.mark.parametrize("x, y, bound", [
+        ("bbbb", "abbbbab", 15),
+        ("bbab", "aaabbbb", 15),
+        ("abbbb", "bbbab", 13),
+    ])
+    def test_search_returns_at_its_first_meet(self, monkeypatch, x, y, bound):
+        # the word expanded last is the one whose neighbour met the other
+        # side, so it lies on the certificate: nothing is expanded after
+        pres = rk.Presentation(AB, (("abab", "b"),))
+        expanded = []
+        neighbors = analysis._neighbors
+
+        def recorded(rules, w, cap):
+            expanded.append(w)
+            return neighbors(rules, w, cap)
+
+        monkeypatch.setattr(analysis, "_neighbors", recorded)
+        outcome = equal_in_monoid(pres, x, y, bound)
+        assert outcome.status == "equal"
+        assert expanded[-1] in outcome.certificate.chain
 
     def test_space_minimal_mode_is_exact(self, demo):
         _, pres, params = demo
@@ -378,9 +399,9 @@ class TestGolden:
 
 
 def reference_dehn_rows(equations, n_max, cap):
-    """Exhaustive rows from first principles: a BFS per connected seed pair
-    for the distance, and components recomputed under every length cap for
-    the least cap joining the pair."""
+    """Exhaustive rows from first principles: a BFS per seed for its
+    distances to the later seeds, and components recomputed under every
+    length cap for the least cap joining each pair."""
     seeds, frontier = [""], [""]
     for _ in range(n_max):
         frontier = [w + c for w in frontier for c in "ab"]
@@ -407,8 +428,9 @@ def reference_dehn_rows(equations, n_max, cap):
     labels = [components(limit) for limit in range(cap + 1)]
     pairs = []  # (max length, distance, least cap)
     for i, x in enumerate(seeds):
+        dist = bfs_distances(by_node, x)
         for y in seeds[i + 1:]:
-            d = bfs_distance(by_node, x, y)
+            d = dist.get(y)
             if d is not None:
                 least = next(c for c, lab in enumerate(labels)
                              if x in lab and y in lab and lab[x] == lab[y])

@@ -64,6 +64,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["endo", "--params", "1", "2", "2", "2", "--map", "a=a,b=bab,b=abb"],
+         "letter 'b' has two images"),
+        (["complete", "--presentation", "{pres}", "--order",
+          "weights: a=1 a=3 b=1; precedence: a>b"], "weighs a letter twice"),
+    ])
+    def test_usage_error_on_repeated_letter(self, argv, message, pres_file, capsys):
+        assert cli.main([a.format(pres=pres_file) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
     @pytest.mark.parametrize("argv", [
         ["build", "--params", "1", "2", "2", "2", "--nodes", "0"],
         ["build", "--params", "1", "2", "2", "2", "--fuel", "0"],
