@@ -11,7 +11,6 @@ certificate, a definite "not connected within the bound", or an
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
 from typing import Optional
 
@@ -246,9 +245,9 @@ class DehnSample:
 def _explore(equations, seeds, cap: int, node_budget: int):
     """The relation graph reachable from ``seeds`` within the length cap.
 
-    Returns ``(words, adj, id_of, exhausted)``.  Ids are assigned in
-    discovery order, the distinct seeds first (ids 0, 1, ... in seed
-    order), so walking ``words`` by index is a breadth-first search.
+    Returns ``(words, adj, exhausted)``.  Ids are assigned in discovery
+    order, the distinct seeds first (ids 0, 1, ... in seed order), so
+    walking ``words`` by index is a breadth-first search.
     ``adj[i]`` is a tuple of neighbour ids, one per application in
     :func:`_neighbors` order (repeats included); every edge is stored at
     both ends.  Once ``node_budget`` words are known, new words are
@@ -272,7 +271,7 @@ def _explore(equations, seeds, cap: int, node_budget: int):
                 words.append(w2)
             row.append(j)
         adj.append(tuple(row))
-    return words, adj, id_of, exhausted
+    return words, adj, exhausted
 
 
 def _pruning_system(presentation: Presentation) -> Optional[RewritingSystem]:
@@ -292,20 +291,105 @@ def _pruning_system(presentation: Presentation) -> Optional[RewritingSystem]:
     return None
 
 
-def _partnered_seeds(presentation: Presentation, seeds) -> list[Word]:
-    """The seeds, in order, that may be equal to another seed.
+def _partnered_seeds(presentation: Presentation, seeds) -> list[list[Word]]:
+    """The seeds that may be equal to another seed, grouped by normal form.
 
     Under a complete system two words are equal in the monoid exactly when
-    they share a normal form, so a seed whose normal form no other seed
-    has is dropped.  Without a complete system every seed stays.
+    they share a normal form, so the seeds split into one group per normal
+    form, and a group of one seed is dropped.  Each group is in seed order,
+    and the groups are in the order of their first seeds.  Without a
+    complete system every seed stays, in one group.
     """
     system = _pruning_system(presentation)
     if system is None:
-        return list(seeds)
+        return [list(seeds)]
     pairs = system.rule_pairs()
-    forms = [_reduce(pairs, w, DEFAULT_FUEL) for w in seeds]
-    count = Counter(forms)
-    return [w for w, f in zip(seeds, forms) if count[f] > 1]
+    groups: dict[Word, list[Word]] = {}
+    for w in seeds:
+        groups.setdefault(_reduce(pairs, w, DEFAULT_FUEL), []).append(w)
+    return [g for g in groups.values() if len(g) > 1]
+
+
+def _measure_class(equations, seeds, cap: int, node_budget: int, n_max: int,
+                   max_d_at: list[int], pairs_at: list[int],
+                   space_at: list[int]) -> bool:
+    """Add the Dehn, pair and space figures of the graph reachable from
+    ``seeds`` into the per-threshold lists; True when that graph was
+    explored within ``node_budget`` words.  The graph is freed on return.
+    """
+    # the seeds are distinct, so they hold ids 0..n_seeds-1
+    words, adj, exhausted = _explore(equations, seeds, cap, node_budget)
+    n_seeds = len(seeds)
+    length = [len(w) for w in words]
+    del words  # only the lengths are needed from here on
+    size = len(length)
+
+    # space: activate words by ascending length (ids ascending within a
+    # length); an edge becomes usable when its later endpoint activates, so
+    # unioning on activation makes the activation length the exact minimax
+    # requirement for every pair the union newly connects.  min_seed[r] is
+    # the shortest seed length in root r's class (n_max + 1 for none), so
+    # t <= n_max exactly when both sides hold a seed.
+    parent = list(range(size))
+    min_seed = length[:n_seeds] + [n_max + 1] * (size - n_seeds)
+    active = bytearray(size)
+    buckets: list[list[int]] = [[] for _ in range(cap + 1)]
+    for i, L in enumerate(length):
+        buckets[L].append(i)
+    for threshold, bucket in enumerate(buckets):
+        for i in bucket:
+            # i activates as its own root and stays the root of every
+            # class it absorbs
+            active[i] = 1
+            mi = min_seed[i]
+            for j in adj[i]:
+                if not active[j]:
+                    continue
+                while parent[j] != j:  # find, with path halving
+                    parent[j] = j = parent[parent[j]]
+                if j == i:
+                    continue
+                mj = min_seed[j]
+                t = max(mi, mj)
+                if t <= n_max and threshold > space_at[t]:
+                    space_at[t] = threshold
+                parent[j] = i
+                mi = min(mi, mj)
+            min_seed[i] = mi
+
+    # dehn: seeds grouped by final root, ascending ids within each class
+    classes: dict[int, list[int]] = {}
+    for u in range(n_seeds):
+        r = u
+        while parent[r] != r:
+            r = parent[r]
+        classes.setdefault(r, []).append(u)
+
+    dist = [-1] * size
+    for members in classes.values():
+        for k, u in enumerate(members[:-1]):
+            lu = length[u]
+            todo = len(members) - 1 - k  # later seeds of u's class
+            dist[u] = 0
+            reached = [u]  # the BFS queue, kept to reset dist afterwards
+            head = 0
+            while todo:
+                i = reached[head]
+                head += 1
+                d = dist[i] + 1
+                for j in adj[i]:
+                    if dist[j] < 0:
+                        dist[j] = d
+                        reached.append(j)
+                        if u < j < n_seeds:
+                            todo -= 1
+                            t = max(lu, length[j])
+                            pairs_at[t] += 1
+                            if d > max_d_at[t]:
+                                max_d_at[t] = d
+            for i in reached:
+                dist[i] = -1
+    return exhausted
 
 
 def dehn_table(presentation: Presentation, n_max: int,
@@ -315,28 +399,38 @@ def dehn_table(presentation: Presentation, n_max: int,
                seed: int = 0) -> list[DehnSample]:
     """Measured Dehn and space values for n = 1..n_max.
 
-    All rows share one reachability graph capped at ``n_max + slack``
-    (:func:`_explore`; ``slack`` defaults to :func:`default_slack`), which
-    makes the measured values non-decreasing in n by construction.  Two
-    passes over it give the rows:
+    All rows are read off the relation graph reachable from the seeds
+    within the length cap ``n_max + slack`` (:func:`_explore`; ``slack``
+    defaults to :func:`default_slack`), which makes the measured values
+    non-decreasing in n by construction.  A relation application never
+    leaves a normal-form class, so that graph is a disjoint union of one
+    graph per class: the seeds are grouped by normal form
+    (:func:`_partnered_seeds`), and each group's graph is explored,
+    measured and freed before the next one (:func:`_measure_class`), so
+    only one class's graph is held at a time.  Two passes over each graph
+    give its figures:
 
     - a union-find sweep that activates words one length bucket at a time
       gives, for every equal pair, the least length cap under which the
-      pair connects (the space entries); its final roots are the
-      connected components;
+      pair connects (the space entries, each the max over the classes);
+      its final roots are the connected components;
     - a breadth-first search from each seed that has a later seed in its
       component, stopped once all of them are reached, gives the
       distances (the Dehn entries).
 
     Trivial pairs (x, x) participate: their space requirement is |x|.
 
-    Seeds that no other seed can equal are not explored
-    (:func:`_partnered_seeds`).  This is sound because two words equal in
-    the monoid share their normal form under any complete system for it, so
-    a seed whose normal form no other seed shares has no partner, and its
-    component adds nothing to the Dehn, space or pair figures of the
-    others.  The space floor still counts every seed length.  Without a
-    complete system every seed is explored.
+    Seeds that no other seed can equal are not explored.  This is sound
+    because two words equal in the monoid share their normal form under
+    any complete system for it, so a seed whose normal form no other seed
+    shares has no partner, and its component adds nothing to the Dehn,
+    space or pair figures of the others.  The space floor still counts
+    every seed length.  Without a complete system every seed is explored,
+    in one graph.
+
+    ``node_budget`` caps each class's graph, not their sum: it guards
+    memory, and a class's graph is all that is held at once.  The rows are
+    marked exhaustive only when no class's graph was cut short.
     """
     if n_max < 1:
         raise ValueError("n must be >= 1")
@@ -365,82 +459,13 @@ def dehn_table(presentation: Presentation, n_max: int,
             picked.add("".join(rng.choice(letters) for _ in range(n)))
         seeds = sorted(picked, key=lambda w: (len(w), w))
 
-    # the explored seeds are distinct, so they hold ids 0..n_seeds-1
-    explored = _partnered_seeds(presentation, seeds)
-    words, adj, id_of, exhausted = _explore(equations, explored, cap, node_budget)
-    n_seeds = len(explored)
-    length = [len(w) for w in words]
-    del words, id_of  # only the lengths are needed from here on
-    size = len(length)
-
-    # space: activate words by ascending length (ids ascending within a
-    # length); an edge becomes usable when its later endpoint activates, so
-    # unioning on activation makes the activation length the exact minimax
-    # requirement for every pair the union newly connects.  min_seed[r] is
-    # the shortest seed length in root r's class (n_max + 1 for none), so
-    # t <= n_max exactly when both sides hold a seed.
-    parent = list(range(size))
-    min_seed = length[:n_seeds] + [n_max + 1] * (size - n_seeds)
-    active = bytearray(size)
-    space_at = [0] * (n_max + 1)
-    buckets: list[list[int]] = [[] for _ in range(cap + 1)]
-    for i, L in enumerate(length):
-        buckets[L].append(i)
-    for threshold, bucket in enumerate(buckets):
-        for i in bucket:
-            # i activates as its own root and stays the root of every
-            # class it absorbs
-            active[i] = 1
-            mi = min_seed[i]
-            for j in adj[i]:
-                if not active[j]:
-                    continue
-                while parent[j] != j:  # find, with path halving
-                    parent[j] = j = parent[parent[j]]
-                if j == i:
-                    continue
-                mj = min_seed[j]
-                t = max(mi, mj)
-                if t <= n_max:  # thresholds only grow: the last one is the max
-                    space_at[t] = threshold
-                parent[j] = i
-                mi = min(mi, mj)
-            min_seed[i] = mi
-
-    # dehn: seeds grouped by final root, ascending ids within each class
-    classes: dict[int, list[int]] = {}
-    for u in range(n_seeds):
-        r = u
-        while parent[r] != r:
-            r = parent[r]
-        classes.setdefault(r, []).append(u)
-
     max_d_at = [0] * (n_max + 1)     # by threshold max(|x|, |y|)
     pairs_at = [0] * (n_max + 1)
-    dist = [-1] * size
-    for members in classes.values():
-        for k, u in enumerate(members[:-1]):
-            lu = length[u]
-            todo = len(members) - 1 - k  # later seeds of u's class
-            dist[u] = 0
-            reached = [u]  # the BFS queue, kept to reset dist afterwards
-            head = 0
-            while todo:
-                i = reached[head]
-                head += 1
-                d = dist[i] + 1
-                for j in adj[i]:
-                    if dist[j] < 0:
-                        dist[j] = d
-                        reached.append(j)
-                        if u < j < n_seeds:
-                            todo -= 1
-                            t = max(lu, length[j])
-                            pairs_at[t] += 1
-                            if d > max_d_at[t]:
-                                max_d_at[t] = d
-            for i in reached:
-                dist[i] = -1
+    space_at = [0] * (n_max + 1)
+    exhausted = True
+    for group in _partnered_seeds(presentation, seeds):
+        exhausted &= _measure_class(equations, group, cap, node_budget, n_max,
+                                    max_d_at, pairs_at, space_at)
 
     seed_lengths = {len(w) for w in seeds}
     rows = []

@@ -418,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "and endomorphism analysis.")
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p, func, fuel=True, nodes=False, certify=False):
+    def add_common(p, func, fuel=True, nodes=None, certify=False):
         p.set_defaults(func=func)
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         if certify:  # what _certify reads besides --fuel
@@ -426,10 +426,10 @@ def build_parser() -> argparse.ArgumentParser:
         if fuel:
             p.add_argument("--fuel", type=positive_int, default=rewrite.DEFAULT_FUEL,
                            help="max rewrite steps per reduction (default %(default)s)")
-        if nodes:
+        if nodes:  # what the node budget caps
             p.add_argument("--nodes", type=positive_int,
                            default=analysis.DEFAULT_NODE_BUDGET,
-                           help="oracle node budget (default %(default)s)")
+                           help=f"{nodes} (default %(default)s)")
 
     p = sub.add_parser("build", help="build (and optionally verify) a family system")
     p.add_argument("--params", nargs=4, type=int, required=True,
@@ -437,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="certify and check presentation equivalence")
     p.add_argument("--out", help="write the system file here")
-    add_common(p, cmd_build, nodes=True, certify=True)
+    add_common(p, cmd_build, nodes="oracle node budget", certify=True)
 
     p = sub.add_parser("grid", help="run checks over an exponent grid")
     p.add_argument("--range", default="1..4", help="range for all exponents (default %(default)s)")
@@ -449,7 +449,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-steps", type=positive_int, default=4000)
     p.add_argument("--dehn-n", type=positive_int, default=4)
     p.add_argument("--out", help="write the --json report here")
-    add_common(p, cmd_grid, nodes=True, certify=True)
+    add_common(p, cmd_grid, certify=True,
+               nodes="node budget of each oracle search and of each Dehn "
+                     "table's normal-form class graph")
 
     p = sub.add_parser("complete", help="Knuth-Bendix completion of a presentation file")
     p.add_argument("--presentation", required=True)
@@ -473,7 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="length cap (default: longer word + 2*longest side)")
     p.add_argument("--space", action="store_true",
                    help="minimize the intermediate-length bound instead of steps")
-    add_common(p, cmd_equal, fuel=False, nodes=True)
+    add_common(p, cmd_equal, fuel=False, nodes="oracle node budget")
 
     p = sub.add_parser("dehn", help="measured Dehn/space table for a presentation")
     p.add_argument("--presentation", required=True)
@@ -482,7 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--slack", type=int,
                    help="length-cap slack (default 2*longest side)")
     p.add_argument("--seed", type=int, default=0)
-    add_common(p, cmd_dehn, fuel=False, nodes=True)
+    add_common(p, cmd_dehn, fuel=False,
+               nodes="node budget of each normal-form class's graph")
 
     p = sub.add_parser("endo", help="endomorphism analysis on a family monoid")
     p.add_argument("--params", nargs=4, type=int, required=True,

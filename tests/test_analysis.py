@@ -319,9 +319,12 @@ class TestDehn:
 DEMO_ROWS_N8 = [(1, 0, 1, 0), (2, 0, 2, 0), (3, 0, 3, 0), (4, 0, 4, 0),
                 (5, 2, 11, 1), (6, 6, 18, 7), (7, 6, 19, 31), (8, 10, 20, 115)]
 # Before seed pruning a 1,000-node budget truncated the n = 6 table to these
-# rows; with pruning it takes a 100-node budget to truncate it to them.
-DEMO_ROWS_N6_BUDGET_100 = [(1, 0, 1, 0), (2, 0, 2, 0), (3, 0, 3, 0),
-                           (4, 0, 4, 0), (5, 2, 11, 1), (6, 2, 12, 5)]
+# rows; with pruning a 100-node budget did.  The budget now caps each
+# normal-form class's graph, and the largest class of the n = 6 table has
+# 162 words, the others 128 or fewer: 100 nodes cut the table but leave
+# its exhaustive values, while 30 nodes truncate it to these rows again.
+DEMO_ROWS_N6_BUDGET_30 = [(1, 0, 1, 0), (2, 0, 2, 0), (3, 0, 3, 0),
+                          (4, 0, 4, 0), (5, 2, 11, 1), (6, 2, 12, 5)]
 DEMO_ROWS_N8_RANDOM_200_SEED_4 = [(1, 0, 1, 0), (2, 0, 2, 0), (3, 0, 3, 0),
                                   (4, 0, 4, 0), (5, 0, 5, 0), (6, 0, 6, 0),
                                   (7, 0, 7, 0), (8, 3, 14, 3)]
@@ -377,8 +380,8 @@ class TestGolden:
         assert _rows(table) == [(r["n"], r["dehn"], r["space"], r["pairs"])
                                 for r in golden]
         assert all(r.exhaustive for r in table)
-        table = dehn_table(pres, 6, node_budget=100)
-        assert _rows(table) == DEMO_ROWS_N6_BUDGET_100
+        table = dehn_table(pres, 6, node_budget=30)
+        assert _rows(table) == DEMO_ROWS_N6_BUDGET_30
         assert not any(r.exhaustive for r in table)
 
     def test_random_rows(self, demo):
@@ -489,18 +492,56 @@ class TestSeedPruning:
         seeds = list(_shortlex_words("ab", 8))
         forms = [_reduce(pairs, w, 10**6) for w in seeds]
         count = Counter(forms)
-        kept = _partnered_seeds(pres, seeds)
-        assert kept == [w for w, f in zip(seeds, forms) if count[f] > 1]
+        groups = _partnered_seeds(pres, seeds)
+        kept = [w for group in groups for w in group]
+        assert sorted(kept, key=seeds.index) == \
+            [w for w, f in zip(seeds, forms) if count[f] > 1]
         assert 0 < len(kept) < len(seeds)
+        # one group per normal form, each in seed order, ordered by first seed
+        group_forms = [{_reduce(pairs, w, 10**6) for w in group} for group in groups]
+        assert all(len(f) == 1 for f in group_forms)
+        assert len(set().union(*group_forms)) == len(groups)
+        assert all(group == sorted(group, key=seeds.index) for group in groups)
+        firsts = [seeds.index(group[0]) for group in groups]
+        assert firsts == sorted(firsts)
 
     def test_no_complete_system_explores_every_seed(self):
         pres = _family_presentation((1, 3, 2, 2))
         assert _pruning_system(pres) is None
         seeds = list(_shortlex_words("ab", 8))
-        assert _partnered_seeds(pres, seeds) == seeds
+        assert _partnered_seeds(pres, seeds) == [seeds]
         table = dehn_table(pres, 8)
         assert _rows(table) == ROWS_1322_N8
         assert all(r.exhaustive for r in table)
+
+    @pytest.mark.parametrize("exponents", [(1, 2, 2, 2), (1, 1, 1, 1)])
+    def test_rows_per_class_equal_rows_of_one_graph(self, exponents, monkeypatch):
+        pres = _family_presentation(exponents)
+        per_class = dehn_table(pres, 8)
+        monkeypatch.setattr(analysis, "_partnered_seeds",
+                            lambda presentation, seeds: [list(seeds)])
+        assert dehn_table(pres, 8) == per_class
+
+    def test_one_class_graph_at_a_time(self, demo, monkeypatch):
+        system, pres, _ = demo
+        pairs = system.rule_pairs()
+        explore = analysis._explore
+        calls = []
+
+        def recording(equations, seeds, cap, node_budget):
+            result = explore(equations, seeds, cap, node_budget)
+            calls.append((list(seeds), len(result[0])))
+            return result
+
+        monkeypatch.setattr(analysis, "_explore", recording)
+        dehn_table(pres, 9)
+        assert len(calls) > 1
+        for seeds, _ in calls:
+            assert len({_reduce(pairs, w, 10**6) for w in seeds}) == 1
+        all_seeds = [w for seeds, _ in calls for w in seeds]
+        one_graph = explore(pres.equations, all_seeds, 9 + analysis.default_slack(pres),
+                            analysis.DEFAULT_NODE_BUDGET)
+        assert sum(size for _, size in calls) == len(one_graph[0])
 
 
 @pytest.mark.parametrize("exponents, prunes", [
