@@ -124,7 +124,7 @@ def _application(rules, u: Word, v: Word) -> tuple[int, str, int]:
 def _tree_path(vis, w: Word) -> list[Word]:
     """``w`` and its ancestors in a search tree, up to the tree's root."""
     path = [w]
-    while (w := vis[w][1]) is not None:
+    while (w := vis[w]) is not None:
         path.append(w)
     return path
 
@@ -154,43 +154,39 @@ def _bidirectional_search(rules, x: Word, y: Word, cap: int,
     if x == y:
         return EqualityOutcome("equal",
                                EqualityCertificate((x,), (), 0, len(x)))
-    # word -> (depth, parent) in the tree grown from x (forward) or y
-    vis_f = {x: (0, None)}
-    vis_b = {y: (0, None)}
+    # word -> parent (None at the root) in the tree grown from x (forward) or y
+    vis_f = {x: None}
+    vis_b = {y: None}
     frontier_f, frontier_b = [x], [y]
-    depth_f = depth_b = 0
 
-    while True:
-        if not frontier_f or not frontier_b:
-            return EqualityOutcome("unequal-within-bound")
-
+    while frontier_f and frontier_b:
         forward = len(frontier_f) <= len(frontier_b)
         this_vis, other_vis = (vis_f, vis_b) if forward else (vis_b, vis_f)
         frontier = frontier_f if forward else frontier_b
-        depth = (depth_f if forward else depth_b) + 1
         room = node_budget - len(other_vis)  # for this side, while it grows
         new_frontier: list[Word] = []
         for w in frontier:
             for w2 in _neighbors(rules, w, cap):
                 if w2 in this_vis:
                     continue
-                this_vis[w2] = (depth, w)
+                this_vis[w2] = w
                 new_frontier.append(w2)
                 if w2 in other_vis:
-                    # the first meet is step-minimal.  With K the other
-                    # side's completed depth, a meet on this level totalling
-                    # less than depth + K finds w2 at an other-side depth
-                    # below K; w neighbours w2, so the other side reached w
-                    # by depth K, a meet on an earlier level, which would
-                    # have returned already
+                    # the first meet is step-minimal.  With this tree building
+                    # level L and the other's last complete level K, a meet
+                    # totalling fewer than L + K steps finds w2 on a level of
+                    # the other tree below K; w neighbours w2, so both trees
+                    # held w before this level, and whichever reached it
+                    # second met the other there and would have returned
                     return EqualityOutcome(
                         "equal", _build_certificate(rules, w2, vis_f, vis_b))
                 if len(this_vis) > room:
                     return EqualityOutcome("inconclusive")
         if forward:
-            frontier_f, depth_f = new_frontier, depth
+            frontier_f = new_frontier
         else:
-            frontier_b, depth_b = new_frontier, depth
+            frontier_b = new_frontier
+    return EqualityOutcome("unequal-within-bound")
 
 
 def equal_in_monoid(presentation: Presentation, x: Word, y: Word,

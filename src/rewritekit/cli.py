@@ -261,9 +261,11 @@ def cmd_complete(args) -> int:
         print(f"stats: {report.stats}")
     if report.completed and args.out:
         Path(args.out).write_text(rewrite.format_system_file(report.system))
-    if report.outcome == "limit-exceeded":
+    if not report.completed:
+        print(f"budget exhausted: the {args.max_rules}-rule or {args.max_steps}-step "
+              "limit stopped completion", file=sys.stderr)
         return EXIT_BUDGET
-    return EXIT_OK if report.completed else EXIT_CHECK_FAILED
+    return EXIT_OK
 
 
 def cmd_nf(args) -> int:

@@ -148,10 +148,9 @@ class CompletionStats:
 
 @dataclass(frozen=True)
 class CompletionReport:
-    outcome: str  # "completed" | "limit-exceeded" | "unorientable"
+    outcome: str  # "completed" | "limit-exceeded"
     system: Optional[RewritingSystem]
     stats: CompletionStats
-    equation: Optional[tuple[Word, Word]] = None
 
     @property
     def completed(self) -> bool:
@@ -169,9 +168,10 @@ def knuth_bendix(presentation: Presentation, order: ReductionOrder,
     Only the critical pairs that involve the new rule are queued: the pairs
     among older rules were queued when the younger of the two was added.
     The order must cover exactly the presentation's letters.  The outcome is
-    ``completed`` exactly when the pair queue empties within the limits,
-    and a completed system is self-checked (locally confluent and
-    terminating under ``order``) before being returned.
+    ``completed`` when the pair queue empties within the limits, with the
+    system self-checked (locally confluent and terminating under ``order``),
+    and ``limit-exceeded`` otherwise.  Orienting a pair never fails: the
+    order is total, and the empty word is below every other word.
     """
     if max_rules < 1 or max_steps < 1:
         raise ValueError("limits must be positive")
@@ -186,11 +186,10 @@ def knuth_bendix(presentation: Presentation, order: ReductionOrder,
     live: list[tuple[Word, Word]] = []
     pairs_processed = rules_added = rules_removed = steps = 0
 
-    def report(outcome, system=None, equation=None):
+    def report(outcome, system=None):
         return CompletionReport(outcome, system,
                                 CompletionStats(pairs_processed, rules_added,
-                                                rules_removed, steps),
-                                equation)
+                                                rules_removed, steps))
 
     while queue:
         steps += 1
@@ -202,12 +201,9 @@ def knuth_bendix(presentation: Presentation, order: ReductionOrder,
         v = _reduce(live, v, fuel)
         if u == v:
             continue
-        c = compare(order, u, v)
-        if c == 0:
-            return report("unorientable", equation=(u, v))
-        lhs, rhs = (u, v) if c == GREATER else (v, u)
-        if not lhs:
-            return report("unorientable", equation=(u, v))
+        # compare is 0 only on equal words, and with every weight >= 1 the
+        # empty word is below the rest, so lhs is the non-empty greater side
+        lhs, rhs = (u, v) if compare(order, u, v) == GREATER else (v, u)
 
         # inter-reduce against the new rule before installing it
         kept: list[tuple[Word, Word]] = []

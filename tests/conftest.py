@@ -20,6 +20,17 @@ GRID = [(a, b, g, d)
         for g in range(1, 5) for d in range(1, 5)]
 
 
+def words_up_to(letters, n):
+    """Every word over ``letters`` of length <= n, shortest first, each
+    length in the order of ``letters``; built here rather than taken from
+    the library, so tests that use it check against an independent list."""
+    out, frontier = [""], [""]
+    for _ in range(n):
+        frontier = [w + c for w in frontier for c in letters]
+        out.extend(frontier)
+    return out
+
+
 @pytest.fixture(scope="session")
 def demo_summary():
     tag, params = rk.classify(1, 2, 2, 2)

@@ -18,7 +18,7 @@ import pytest
 import rewritekit as rk
 from rewritekit.family import Case
 from rewritekit.rewrite import _reduce
-from tests.conftest import GRID
+from tests.conftest import GRID, words_up_to
 
 SEED = 20240810
 
@@ -26,15 +26,6 @@ SEED = 20240810
 def _report(label: str, ok: bool, detail: str = "") -> None:
     print(f"ACCEPTANCE {label}: {'PASS' if ok else 'FAIL'}"
           + (f" ({detail})" if detail else ""))
-
-
-def _words_up_to(letters, n):
-    out = [""]
-    frontier = [""]
-    for _ in range(n):
-        frontier = [w + c for w in frontier for c in letters]
-        out.extend(frontier)
-    return out
 
 
 def test_01_grid_completeness(grid_summaries):
@@ -157,7 +148,7 @@ def test_07_linear_dehn_evidence(demo_system, demo_presentation):
     # support: the equality classes behind the table agree with the
     # complete system's normal forms on every word of length <= 10
     by_nf = {}
-    for w in _words_up_to("ab", 10):
+    for w in words_up_to("ab", 10):
         by_nf.setdefault(_reduce(demo_system.rule_pairs(), w, 10**6), []).append(w)
     nontrivial = sum(1 for ws in by_nf.values() if len(ws) > 1)
     assert nontrivial > 0

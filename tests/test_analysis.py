@@ -25,6 +25,7 @@ from rewritekit.rewrite import (
 )
 from rewritekit.confluence import check_local_confluence, knuth_bendix
 from rewritekit.words import _shortlex_words, alphabet
+from tests.conftest import words_up_to
 
 AB = alphabet("ab")
 GOLDEN = Path(__file__).parent / "golden"
@@ -100,6 +101,20 @@ class TestEqualInMonoid:
         outcome = equal_in_monoid(pres, "abb", "b", 40, node_budget=10)
         assert outcome.status == "inconclusive"
 
+    @pytest.mark.parametrize("minimize", ["steps", "space"])
+    @pytest.mark.parametrize("x, y, bound, enough, status", [
+        ("abbab", "baabb", 19, 5, "equal"),
+        ("abb", "b", 17, 22, "unequal-within-bound"),
+    ])
+    def test_node_budget_boundary(self, demo, minimize, x, y, bound, enough,
+                                  status):
+        # the least budget that decides the query, and one node fewer
+        _, pres, _ = demo
+        for budget, expected in ((enough, status), (enough - 1, "inconclusive")):
+            outcome = equal_in_monoid(pres, x, y, bound, node_budget=budget,
+                                      minimize=minimize)
+            assert outcome.status == expected, budget
+
     def test_bound_must_cover_inputs(self, demo):
         _, pres, _ = demo
         with pytest.raises(ValueError):
@@ -134,11 +149,7 @@ class TestEqualInMonoid:
     def test_step_minimality_against_independent_bfs(self):
         # <a,b | abab = b>: exact distances on the full bounded graph
         pres = rk.Presentation(AB, (("abab", "b"),))
-        words6 = [""]
-        frontier = [""]
-        for _ in range(6):
-            frontier = [w + c for w in frontier for c in "ab"]
-            words6.extend(frontier)
+        words6 = words_up_to("ab", 6)
         cap = 6 + 3 * 4
         nodes, edges = bfs_graph(pres.equations, words6, cap)
         by_node = {}
@@ -277,11 +288,7 @@ class TestDehn:
         _, pres, _ = demo
         table = dehn_table(pres, 6)
         # independent route: pairwise oracle over all words of length <= 6
-        words = [""]
-        frontier = [""]
-        for _ in range(6):
-            frontier = [w + c for w in frontier for c in "ab"]
-            words.extend(frontier)
+        words = words_up_to("ab", 6)
         cap = 6 + 14
         best_d = 0
         for i, u in enumerate(words):
@@ -405,10 +412,7 @@ def reference_dehn_rows(equations, n_max, cap):
     """Exhaustive rows from first principles: a BFS per seed for its
     distances to the later seeds, and components recomputed under every
     length cap for the least cap joining each pair."""
-    seeds, frontier = [""], [""]
-    for _ in range(n_max):
-        frontier = [w + c for w in frontier for c in "ab"]
-        seeds += frontier
+    seeds = words_up_to("ab", n_max)
     nodes, edges = bfs_graph(equations, seeds, cap)
     by_node = {}
     for a, b in edges:
@@ -583,10 +587,6 @@ class TestEnumerateElements:
         from rewritekit.rewrite import rewrite_step
 
         out = set(enumerate_elements(system, 4))
-        frontier = [""]
-        words = [""]
-        for _ in range(4):
-            frontier = [w + c for w in frontier for c in "abx"]
-            words.extend(frontier)
+        words = words_up_to("abx", 4)
         for w in words:
             assert (w in out) == (rewrite_step(system, w) is None)

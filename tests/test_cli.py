@@ -57,6 +57,10 @@ class TestExitCodes:
     def test_budget_exhaustion_on_tiny_completion_limits(self, pres_file, capsys):
         assert cli.main(["complete", "--presentation", pres_file,
                          "--max-steps", "1", "--max-rules", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.startswith("outcome: limit-exceeded\n")
+        assert captured.err.startswith("budget exhausted:")
+        assert len(captured.err.splitlines()) == 1
 
     def test_usage_error_on_order_missing_a_letter(self, pres_file, capsys):
         assert cli.main(["complete", "--presentation", pres_file,

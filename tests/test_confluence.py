@@ -16,6 +16,7 @@ from rewritekit.confluence import (
 from rewritekit.family import Case
 from rewritekit.rewrite import ReductionOrder, Rule, RewritingSystem, _reduce, normal_form
 from rewritekit.words import alphabet
+from tests.conftest import words_up_to
 
 AB = alphabet("ab")
 ABX = alphabet("abx")
@@ -87,11 +88,7 @@ class TestCriticalPairs:
         known = {(cp.source, frozenset((cp.left, cp.right)))
                  for cp in critical_pairs(demo)}
         max_len = max(len(l) for l, _ in rules) * 2
-        frontier = [""]
-        words = [""]
-        for _ in range(max_len):
-            frontier = [w + c for w in frontier for c in "abx"]
-            words.extend(frontier)
+        words = words_up_to("abx", max_len)
         for w in words:
             apps = single_step_reducts(rules, w)
             for a_idx in range(len(apps)):
@@ -253,11 +250,7 @@ class TestKnuthBendix:
         order = ReductionOrder({"a": 1, "b": 1, "x": 1}, ("a", "x", "b"))
         report = knuth_bendix(pres, order)
         assert report.completed
-        words = [""]
-        frontier = [""]
-        for _ in range(6):
-            frontier = [w + c for w in frontier for c in "abx"]
-            words.extend(frontier)
+        words = words_up_to("abx", 6)
         by_old, by_new = {}, {}
         for w in words:
             by_old.setdefault(normal_form(demo, w)[0], set()).add(w)

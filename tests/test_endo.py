@@ -15,6 +15,7 @@ from rewritekit.endo import (
 from rewritekit.rewrite import RewritingSystem
 from rewritekit.confluence import certify
 from rewritekit.words import alphabet
+from tests.conftest import words_up_to
 
 AB = alphabet("ab")
 
@@ -90,11 +91,7 @@ class TestCheckLifts:
     def test_composition_of_lifting_maps_lifts(self, demo):
         system, pres, _ = demo
         lifting = []
-        words3 = [""]
-        frontier = [""]
-        for _ in range(3):
-            frontier = [w + c for w in frontier for c in "ab"]
-            words3.extend(frontier)
+        words3 = words_up_to("ab", 3)
         for image in words3:
             spec = EndomorphismSpec({"a": "a", "b": image})
             if image and check_lifts(system, pres, spec).lifts:

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from rewritekit.analysis import enumerate_elements, equal_in_monoid
 from rewritekit.rewrite import (
     FuelExhausted,
+    LESS,
     Presentation,
     ReductionOrder,
     Rule,
@@ -184,12 +185,15 @@ def _orders(letters):
 @given(st.sampled_from(LETTER_SETS).flatmap(lambda letters: st.tuples(
     _orders(letters), *(_words(letters, 0, 8) for _ in range(5)))))
 def test_compare_is_a_reduction_order(drawn):
-    """Antisymmetric, total (0 exactly on identical words), transitive, and
-    compatible with concatenation on both sides."""
+    """Antisymmetric, total (0 exactly on identical words), transitive,
+    compatible with concatenation on both sides, and with the empty word
+    below every other word."""
     order, u, v, w, left, right = drawn
     c = compare(order, u, v)
     assert compare(order, v, u) == -c
     assert (c == 0) == (u == v)
+    if u:
+        assert compare(order, "", u) == LESS
     if c == compare(order, v, w):
         assert compare(order, u, w) == c
     assert compare(order, left + u, left + v) == c

@@ -21,6 +21,7 @@ from rewritekit.rewrite import (
     verify_termination,
 )
 from rewritekit.words import alphabet
+from tests.conftest import words_up_to
 
 AB = alphabet("ab")
 ABX = alphabet("abx")
@@ -172,21 +173,13 @@ class TestVerifyTermination:
         # exhaustive small grid: every reduction halts well under the fuel cap
         order = find_termination_order(demo)
         assert verify_termination(demo, order).certified
-        words = [""]
-        frontier = [""]
-        for _ in range(7):
-            frontier = [w + c for w in frontier for c in "abx"]
-            words.extend(frontier)
+        words = words_up_to("abx", 7)
         for w in words:
             normal_form(demo, w, fuel=10**6)
 
         s = system(AB, ("abab", "b"), ("abb", "bab"))
         assert verify_termination(s, ReductionOrder({"a": 1, "b": 1}, ("a", "b"))).certified
-        words = [""]
-        frontier = [""]
-        for _ in range(12):
-            frontier = [w + c for w in frontier for c in "ab"]
-            words.extend(frontier)
+        words = words_up_to("ab", 12)
         for w in words:
             normal_form(s, w, fuel=10**6)
 
