@@ -389,11 +389,15 @@ def _measure_class(equations, seeds, cap: int, node_budget: int, n_max: int,
 
 
 def dehn_table(presentation: Presentation, n_max: int,
-               mode: str = "exhaustive", sample_count: Optional[int] = None,
+               sample_count: Optional[int] = None,
                slack: Optional[int] = None,
                node_budget: int = DEFAULT_NODE_BUDGET,
                seed: int = 0) -> list[DehnSample]:
     """Measured Dehn and space values for n = 1..n_max.
+
+    ``sample_count=None`` seeds every word up to length n_max, for n_max up
+    to ``MAX_EXHAUSTIVE_N``; an integer seeds that many random words drawn
+    with ``seed``, and those rows are never marked exhaustive.
 
     All rows are read off the relation graph reachable from the seeds
     within the length cap ``n_max + slack`` (:func:`_explore`; ``slack``
@@ -430,9 +434,7 @@ def dehn_table(presentation: Presentation, n_max: int,
     """
     if n_max < 1:
         raise ValueError("n must be >= 1")
-    if mode not in ("exhaustive", "random"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exhaustive" and n_max > MAX_EXHAUSTIVE_N:
+    if sample_count is None and n_max > MAX_EXHAUSTIVE_N:
         raise ValueError(f"exhaustive mode is capped at n = {MAX_EXHAUSTIVE_N}; "
                          "use random sampling for larger n")
     equations = presentation.equations
@@ -442,10 +444,10 @@ def dehn_table(presentation: Presentation, n_max: int,
         raise ValueError(f"slack must be >= 0, got {slack}")
     cap = n_max + slack
 
-    if mode == "exhaustive":
+    if sample_count is None:
         seeds = tuple(_shortlex_words(presentation.alphabet.letters, n_max))
     else:
-        if not sample_count or sample_count < 1:
+        if sample_count < 1:
             raise ValueError("random mode needs a positive sample count")
         rng = random.Random(seed)
         letters = presentation.alphabet.letters
@@ -474,7 +476,7 @@ def dehn_table(presentation: Presentation, n_max: int,
             floor = n
         rows.append(DehnSample(n, running_d, max(running_sp, floor),
                                running_pairs,
-                               mode == "exhaustive" and exhausted))
+                               sample_count is None and exhausted))
     return rows
 
 

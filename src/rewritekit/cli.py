@@ -124,8 +124,7 @@ def cmd_build(args) -> int:
                       for i in eq.rule_results],
             "relator_normal_form": _word(eq.relator_normal_form),
         }
-        terminates = empirical.all_halted if empirical else summary.order is not None
-        failed = not (summary.locally_confluent and terminates
+        failed = not (summary.locally_confluent and summary.terminates
                       and (eq.passed or eq.inconclusive))
         inconclusive = not failed and eq.inconclusive
     if args.out:
@@ -163,6 +162,7 @@ def cmd_grid(args) -> int:
     rows = []
     truncated = []  # tuples whose Dehn table the node budget cut short
     undecided = []  # tuples whose equivalence check it left inconclusive
+    hard_failure = False
     for exponents in product(*ranges):
         t0 = time.perf_counter()
         row: dict = {"params": list(exponents)}
@@ -172,6 +172,7 @@ def cmd_grid(args) -> int:
             row["certification"] = summary.certification.value
             row["locally_confluent"] = summary.locally_confluent
             row["order"] = str(summary.order) if summary.order else None
+            hard_failure |= not (summary.locally_confluent and summary.terminates)
             if summary.empirical is not None:
                 row["empirical_all_halted"] = summary.empirical.all_halted
         else:
@@ -182,6 +183,7 @@ def cmd_grid(args) -> int:
             eq = _equivalence(args, params, system)
             row["equivalence"] = ("PASS" if eq.passed else
                                   "inconclusive" if eq.inconclusive else "FAIL")
+            hard_failure |= row["equivalence"] == "FAIL"
             if eq.inconclusive:
                 undecided.append(exponents)
         if "probe" in checks:
@@ -204,8 +206,6 @@ def cmd_grid(args) -> int:
             if not all(s.exhaustive for s in table):
                 truncated.append(exponents)
         rows.append((row, time.perf_counter() - t0))
-    hard_failure = any(row.get("locally_confluent") is False
-                       or row.get("equivalence") == "FAIL" for row, _ in rows)
     payload = _report(args, {"fuel": args.fuel, "max_weight": args.max_weight,
                              "oracle_nodes": args.nodes, "max_rules": args.max_rules,
                              "max_steps": args.max_steps},
@@ -306,16 +306,16 @@ def cmd_equal(args) -> int:
 
 def cmd_dehn(args) -> int:
     pres = _read_presentation(args.presentation)
-    mode, count = "exhaustive", None
+    count = None
     if args.mode != "exhaustive":
         bad_mode = ValueError(f"bad mode {args.mode!r}; expected exhaustive or random:COUNT")
         if not args.mode.startswith("random:"):
             raise bad_mode
         try:
-            mode, count = "random", int(args.mode[len("random:"):])
+            count = int(args.mode[len("random:"):])
         except ValueError:
             raise bad_mode from None
-    table = analysis.dehn_table(pres, args.n, mode=mode, sample_count=count,
+    table = analysis.dehn_table(pres, args.n, sample_count=count,
                                 slack=args.slack, node_budget=args.nodes,
                                 seed=args.seed)
     if args.json:
@@ -328,7 +328,7 @@ def cmd_dehn(args) -> int:
         print(f"{'n':>3} {'dehn':>5} {'space':>6} {'pairs':>8}  exhaustive")
         for s in table:
             print(f"{s.n:>3} {s.dehn:>5} {s.space:>6} {s.pairs_examined:>8}  {s.exhaustive}")
-    if mode == "exhaustive" and not all(s.exhaustive for s in table):
+    if count is None and not all(s.exhaustive for s in table):
         print(f"budget exhausted: the {args.nodes}-node budget truncated the table "
               "(rows marked exhaustive False)", file=sys.stderr)
         return EXIT_BUDGET

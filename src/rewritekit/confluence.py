@@ -71,13 +71,9 @@ def _pairs_for_rules(rules, new: Optional[int] = None) -> list[CriticalPair]:
                     source = l1 + l2[t:]
                     add(source, r1 + l2[t:], l1[:len(l1) - t] + r2,
                         i, j, 0, len(l1) - t, "suffix_prefix")
-            # containment of l2 in l1 (any position, boundaries included);
+            # containment of l2 in l1 (any position, l2 == l1 included);
             # needed for soundness on systems that are not inter-reduced
             if i != j and len(l2) <= len(l1):
-                if len(l2) == len(l1):
-                    if l1 == l2:
-                        add(l1, r1, r2, i, j, 0, 0, "containment")
-                    continue
                 for p in find_occurrences(l1, l2):
                     add(l1, r1, l1[:p] + r2 + l1[p + len(l2):],
                         i, j, 0, p, "containment")

@@ -174,6 +174,8 @@ def hopf_demo(fuel: int = DEFAULT_FUEL) -> HopfReport:
     inverse b -> ab^2 does not lift, and exhibits a validated pair of
     distinct elements sharing an image.  Every claim in the report is
     revalidated by normal-form computation before it is returned.
+    ``witness_bound`` (the CLI's ``found_at_bound``) is the first of the
+    bounds 6, 10 and |derived u| that covers both witness words.
     """
     tag, params = classify(*DEMO_EXPONENTS)
     summary = certify_family_system(tag, params, fuel=fuel)
@@ -205,16 +207,11 @@ def hopf_demo(fuel: int = DEFAULT_FUEL) -> HopfReport:
     if not derived.revalidate(system, phi, fuel):
         raise AssertionError("derived witness failed revalidation")
 
-    witness = None
-    witness_bound = 0
-    for bound in (6, 10, len(derived_u)):
-        witness = find_injectivity_violation(system, presentation, phi, bound, fuel)
-        if witness is not None and witness.revalidate(system, phi, fuel):
-            witness_bound = bound
-            break
-        witness = None
-    if witness is None:
+    # the scan stops at its first shortlex collision: every bound >= |v| finds it
+    witness = find_injectivity_violation(system, presentation, phi, len(derived_u), fuel)
+    if witness is None or not witness.revalidate(system, phi, fuel):
         raise AssertionError("no validated injectivity witness found")
+    witness_bound = next(b for b in (6, 10, len(derived_u)) if b >= len(witness.v))
 
     conclusion = ("phi: a -> a, b -> bab is a surjective, non-injective endomorphism, "
                   "so the monoid is non-hopfian; by Malcev's theorem it is therefore "

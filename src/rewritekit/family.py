@@ -313,6 +313,10 @@ class CertificationSummary:
     def certification(self) -> Certification:
         return self.system.certification
 
+    @property
+    def terminates(self) -> bool:
+        return self.empirical.all_halted if self.empirical else self.order is not None
+
 
 # The empirical termination probe reduces EMPIRICAL_SAMPLES seeded random
 # words of length <= EMPIRICAL_MAX_LENGTH, each within EMPIRICAL_STEP_BUDGET.

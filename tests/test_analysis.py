@@ -302,7 +302,13 @@ class TestDehn:
         _, pres, _ = demo
         with pytest.raises(ValueError):
             dehn_table(pres, 15)
-        assert dehn_table(pres, 3, mode="random", sample_count=5)  # no ceiling
+        assert dehn_table(pres, 3, sample_count=5)  # no ceiling
+
+    @pytest.mark.parametrize("count", [0, -2])
+    def test_non_positive_sample_count_is_rejected(self, demo, count):
+        _, pres, _ = demo
+        with pytest.raises(ValueError, match="positive sample count"):
+            dehn_table(pres, 4, sample_count=count)
 
     def test_negative_slack_is_rejected(self, demo):
         # a cap below n would report truncated rows as exhaustive
@@ -312,8 +318,8 @@ class TestDehn:
 
     def test_random_mode_is_deterministic_and_bounded(self, demo):
         _, pres, _ = demo
-        a = dehn_table(pres, 8, mode="random", sample_count=60, seed=4)
-        b = dehn_table(pres, 8, mode="random", sample_count=60, seed=4)
+        a = dehn_table(pres, 8, sample_count=60, seed=4)
+        b = dehn_table(pres, 8, sample_count=60, seed=4)
         assert a == b
         exhaustive = dehn_table(pres, 8)
         for ra, re in zip(a, exhaustive):
@@ -393,7 +399,7 @@ class TestGolden:
 
     def test_random_rows(self, demo):
         _, pres, _ = demo
-        table = dehn_table(pres, 8, mode="random", sample_count=200, seed=4)
+        table = dehn_table(pres, 8, sample_count=200, seed=4)
         assert _rows(table) == DEMO_ROWS_N8_RANDOM_200_SEED_4
 
     @pytest.mark.parametrize("equations, x, y, bound, minimize, chain, apps, d, s",

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -189,6 +190,27 @@ class TestExitCodes:
         assert cli.main(["grid", "--range", "1..1", "--beta", "2", "--gamma", "2",
                          "--delta", "2", "--checks", "equivalence", "--nodes", "10"]) == 1
         assert "equivalence=FAIL" in capsys.readouterr().out
+
+    def test_check_failure_without_termination_evidence(self, monkeypatch, capsys):
+        # build --verify and grid apply the same rule: no order, no pass
+        original = cli.family.certify_family_system
+
+        def orderless(*args, **kwargs):
+            return replace(original(*args, **kwargs), order=None)
+
+        monkeypatch.setattr(cli.family, "certify_family_system", orderless)
+        assert cli.main(["build", "--params", "1", "2", "2", "2", "--verify"]) == 1
+        assert "verification: FAIL" in capsys.readouterr().out
+        assert cli.main(["grid", "--range", "1..1", "--beta", "2", "--gamma", "2",
+                         "--delta", "2", "--checks", "completeness,equivalence"]) == 1
+        assert "hard failure: True" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("mode", ["random:0", "random:-2"])
+    def test_usage_error_on_non_positive_sample_count(self, mode, pres_file, capsys):
+        assert cli.main(["dehn", "--presentation", pres_file, "--n", "4",
+                         "--mode", mode]) == 2
+        assert capsys.readouterr().err == (
+            "error: random mode needs a positive sample count\n")
 
     def test_usage_error_on_non_alphabetic_letter(self, tmp_path, capsys):
         # '#' would start a comment, so '#a = a' could never be read

@@ -3,6 +3,7 @@ import random
 import pytest
 
 import rewritekit as rk
+from rewritekit import endo
 from rewritekit.endo import (
     EndomorphismSpec,
     apply_substitution,
@@ -158,6 +159,22 @@ class TestHopfDemo:
         assert report.derived_witness.revalidate(report.system, report.lift_map)
         assert "non-hopfian" in report.conclusion
         assert "Malcev" in report.conclusion
+
+    def test_one_injectivity_scan(self, monkeypatch):
+        # a scan returns its first shortlex collision, so one scan at the
+        # largest bound finds the witness the smaller bounds would
+        bounds = []
+        original = endo.find_injectivity_violation
+
+        def recording(system, presentation, phi, bound, fuel):
+            bounds.append(bound)
+            return original(system, presentation, phi, bound, fuel)
+
+        monkeypatch.setattr(endo, "find_injectivity_violation", recording)
+        report = hopf_demo()
+        assert len(bounds) == 1
+        assert report.witness_bound == 10
+        assert (report.witness.u, report.witness.v) == ("aabbbab", "baaabbb")
 
     def test_composite_fixes_generators(self):
         # phi . psi is the identity on both generators as monoid elements

@@ -127,6 +127,11 @@ class TestOverlaps:
     def test_interior_containment(self):
         assert ("aba", "containment", 1) in self.found([("aba", "a"), ("b", "a")])
 
+    def test_equal_left_sides_give_one_containment_pair(self):
+        [cp] = _pairs_for_rules([("ab", "a"), ("ab", "b")])
+        assert (cp.source, {cp.left, cp.right}, cp.kind, cp.pos_j) == (
+            "ab", {"a", "b"}, "containment", 0)
+
     def test_relator_self_overlap_matches_classification(self):
         # a^A b^B a^C b^D overlaps itself iff B >= D and C >= A
         from rewritekit import Case, classify
