@@ -112,21 +112,19 @@ def cmd_build(args) -> int:
         "extra_rule": tag.extra_rule,
         "system": _system(system),
     }
-    failed = inconclusive = False
+    verdict = None
     if args.verify:
         eq = _equivalence(args, summary.params, system)
         result["locally_confluent"] = summary.locally_confluent
         if empirical is not None:
             result["empirical_termination"] = asdict(empirical)
         result["equivalence"] = {
-            "passed": eq.passed,
+            "passed": eq.verdict == "PASS",
             "rules": [{"rule": i.rule_index, "status": i.status, "d": i.d, "s": i.s}
                       for i in eq.rule_results],
             "relator_normal_form": _word(eq.relator_normal_form),
         }
-        failed = not (summary.locally_confluent and summary.terminates
-                      and (eq.passed or eq.inconclusive))
-        inconclusive = not failed and eq.inconclusive
+        verdict = "FAIL" if "FAIL" in (summary.verdict, eq.verdict) else eq.verdict
     if args.out:
         Path(args.out).write_text(rewrite.format_system_file(system))
     if args.json:
@@ -140,11 +138,10 @@ def cmd_build(args) -> int:
         if system.order:
             print(f"order: {system.order}")
         if args.verify:
-            print("verification: "
-                  f"{'FAIL' if failed else 'inconclusive' if inconclusive else 'PASS'}")
-    if failed:
+            print(f"verification: {verdict}")
+    if verdict == "FAIL":
         return EXIT_CHECK_FAILED
-    if inconclusive:
+    if verdict == "inconclusive":
         print(f"budget exhausted: the {args.nodes}-node budget left the equivalence "
               "check inconclusive", file=sys.stderr)
         return EXIT_BUDGET
@@ -172,7 +169,7 @@ def cmd_grid(args) -> int:
             row["certification"] = summary.certification.value
             row["locally_confluent"] = summary.locally_confluent
             row["order"] = str(summary.order) if summary.order else None
-            hard_failure |= not (summary.locally_confluent and summary.terminates)
+            hard_failure |= summary.verdict == "FAIL"
             if summary.empirical is not None:
                 row["empirical_all_halted"] = summary.empirical.all_halted
         else:
@@ -181,10 +178,9 @@ def cmd_grid(args) -> int:
         row["case"] = tag.variant.value
         if "equivalence" in checks:
             eq = _equivalence(args, params, system)
-            row["equivalence"] = ("PASS" if eq.passed else
-                                  "inconclusive" if eq.inconclusive else "FAIL")
-            hard_failure |= row["equivalence"] == "FAIL"
-            if eq.inconclusive:
+            row["equivalence"] = eq.verdict
+            hard_failure |= eq.verdict == "FAIL"
+            if eq.verdict == "inconclusive":
                 undecided.append(exponents)
         if "probe" in checks:
             pres = (family.extended_presentation(params)
@@ -424,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         if certify:  # what _certify reads besides --fuel
-            p.add_argument("--max-weight", type=positive_int, default=8)
+            p.add_argument("--max-weight", type=positive_int, default=rewrite.MAX_WEIGHT)
         if fuel:
             p.add_argument("--fuel", type=positive_int, default=rewrite.DEFAULT_FUEL,
                            help="max rewrite steps per reduction (default %(default)s)")
@@ -447,8 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{name}", help=f"override range for {name}")
     p.add_argument("--checks", default="completeness",
                    help="comma-separated: completeness,equivalence,probe,dehn")
-    p.add_argument("--max-rules", type=positive_int, default=120)
-    p.add_argument("--max-steps", type=positive_int, default=4000)
+    p.add_argument("--max-rules", type=positive_int, default=confluence.MAX_RULES)
+    p.add_argument("--max-steps", type=positive_int, default=confluence.MAX_STEPS)
     p.add_argument("--dehn-n", type=positive_int, default=4)
     p.add_argument("--out", help="write the --json report here")
     add_common(p, cmd_grid, certify=True,
@@ -459,8 +455,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--presentation", required=True)
     p.add_argument("--order", help='e.g. "weights: a=1 b=1; precedence: a>b" '
                                    "(default: all weights 1, alphabet order)")
-    p.add_argument("--max-rules", type=positive_int, default=120)
-    p.add_argument("--max-steps", type=positive_int, default=4000)
+    p.add_argument("--max-rules", type=positive_int, default=confluence.MAX_RULES)
+    p.add_argument("--max-steps", type=positive_int, default=confluence.MAX_STEPS)
     p.add_argument("--out", help="write the completed system file here")
     add_common(p, cmd_complete)
 

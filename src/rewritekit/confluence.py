@@ -20,6 +20,8 @@ from .rewrite import (
 )
 from .words import Word, find_occurrences
 
+MAX_RULES, MAX_STEPS = 120, 4000  # knuth_bendix's default limits
+
 
 @dataclass(frozen=True)
 class CriticalPair:
@@ -154,7 +156,7 @@ class CompletionReport:
 
 
 def knuth_bendix(presentation: Presentation, order: ReductionOrder,
-                 max_rules: int = 200, max_steps: int = 5000,
+                 max_rules: int = MAX_RULES, max_steps: int = MAX_STEPS,
                  fuel: int = DEFAULT_FUEL) -> CompletionReport:
     """Standard completion: orient, overlap, repair, inter-reduce.
 
@@ -164,10 +166,11 @@ def knuth_bendix(presentation: Presentation, order: ReductionOrder,
     Only the critical pairs that involve the new rule are queued: the pairs
     among older rules were queued when the younger of the two was added.
     The order must cover exactly the presentation's letters.  The outcome is
-    ``completed`` when the pair queue empties within the limits, with the
-    system self-checked (locally confluent and terminating under ``order``),
-    and ``limit-exceeded`` otherwise.  Orienting a pair never fails: the
-    order is total, and the empty word is below every other word.
+    ``completed`` when the pair queue empties within the limits (120 rules
+    and 4000 steps by default), with the system self-checked (locally
+    confluent and terminating under ``order``), and ``limit-exceeded``
+    otherwise.  Orienting a pair never fails: the order is total, and the
+    empty word is below every other word.
     """
     if max_rules < 1 or max_steps < 1:
         raise ValueError("limits must be positive")

@@ -133,20 +133,16 @@ class InjectivityWitness:
 def find_injectivity_violation(system: RewritingSystem, presentation: Presentation,
                                phi: EndomorphismSpec, bound: int,
                                fuel: int = DEFAULT_FUEL) -> Optional[InjectivityWitness]:
-    """Scan generator words in shortlex order, bucketing elements by the
-    normal form of their image; the first bucket collision between two
-    distinct elements is returned."""
+    """Scan generator words in shortlex order and return the first word whose
+    image normal form an earlier word of a distinct element already has."""
     nf = _normal_forms(system, fuel)
-    by_image: dict[Word, dict[Word, Word]] = {}
+    by_image: dict[Word, tuple[Word, Word]] = {}
     for w in _shortlex_words(presentation.alphabet.letters, bound):
         own = nf(w)
         image = nf(apply_substitution(phi, w))
-        bucket = by_image.setdefault(image, {})
-        if own in bucket:
-            continue  # same element as an earlier word
-        for other_own, other_word in bucket.items():
+        other_own, other_word = by_image.setdefault(image, (own, w))
+        if other_own != own:
             return InjectivityWitness(other_word, w, other_own, own, image)
-        bucket[own] = w
     return None
 
 

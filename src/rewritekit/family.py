@@ -19,6 +19,7 @@ from . import analysis
 from .confluence import certify
 from .rewrite import (
     DEFAULT_FUEL,
+    MAX_WEIGHT,
     Certification,
     FuelExhausted,
     Presentation,
@@ -190,20 +191,19 @@ class RuleEquivalence:
 
 @dataclass(frozen=True)
 class EquivalenceReport:
+    """``verdict``: FAIL if the relator's sides differ in normal form or a rule is
+    unequal-within-bound, else inconclusive if the budget left a rule undecided, else PASS."""
+
     rule_results: tuple[RuleEquivalence, ...]
     relator_normal_forms_match: bool
     relator_normal_form: Word
 
     @property
-    def passed(self) -> bool:
-        return (self.relator_normal_forms_match
-                and all(r.status == "equal" for r in self.rule_results))
-
-    @property
-    def inconclusive(self) -> bool:
-        """No check failed, but the node budget left some rule undecided."""
-        return (self.relator_normal_forms_match and not self.passed
-                and all(r.status != "unequal-within-bound" for r in self.rule_results))
+    def verdict(self) -> str:
+        statuses = {r.status for r in self.rule_results}
+        if not self.relator_normal_forms_match or "unequal-within-bound" in statuses:
+            return "FAIL"
+        return "inconclusive" if "inconclusive" in statuses else "PASS"
 
 
 def _oracle_with_deepening(presentation: Presentation, lhs: Word, rhs: Word,
@@ -302,6 +302,9 @@ class EmpiricalTermination:
 
 @dataclass(frozen=True)
 class CertificationSummary:
+    """``verdict`` is PASS when the system is locally confluent and has
+    termination evidence (an order, or for Case2 a probe that halted)."""
+
     tag: CaseTag
     params: FamilyParams
     system: RewritingSystem
@@ -314,8 +317,9 @@ class CertificationSummary:
         return self.system.certification
 
     @property
-    def terminates(self) -> bool:
-        return self.empirical.all_halted if self.empirical else self.order is not None
+    def verdict(self) -> str:
+        terminates = self.empirical.all_halted if self.empirical else self.order is not None
+        return "PASS" if self.locally_confluent and terminates else "FAIL"
 
 
 # The empirical termination probe reduces EMPIRICAL_SAMPLES seeded random
@@ -343,7 +347,7 @@ def empirical_termination_probe(system: RewritingSystem) -> EmpiricalTermination
 
 
 def certify_family_system(tag: CaseTag, params: FamilyParams,
-                          max_weight: int = 8,
+                          max_weight: int = MAX_WEIGHT,
                           fuel: int = DEFAULT_FUEL) -> CertificationSummary:
     """Certify a constructed system as far as the case allows.
 

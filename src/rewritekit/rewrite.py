@@ -19,6 +19,7 @@ from .words import Alphabet, Word, _parse_pair_file, print_word
 LESS, EQUAL, GREATER = -1, 0, 1
 
 DEFAULT_FUEL = 10**6
+MAX_WEIGHT = 8  # the termination-order search's default weight cap
 
 
 class FuelExhausted(RuntimeError):
@@ -250,7 +251,7 @@ def _weight_needed(pairs, letter: str) -> int:
 
 
 def find_termination_order(system: RewritingSystem,
-                           max_weight: int = 8) -> Optional[ReductionOrder]:
+                           max_weight: int = MAX_WEIGHT) -> Optional[ReductionOrder]:
     """Exhaustive search for a certifying weighted-shortlex order.
 
     Scans all precedence permutations and all weight vectors with each

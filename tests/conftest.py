@@ -31,6 +31,11 @@ def words_up_to(letters, n):
     return out
 
 
+def system(alpha, *rules):
+    """A rewriting system over ``alpha`` with the given (lhs, rhs) rules."""
+    return rk.RewritingSystem(alpha, tuple(rk.Rule(l, r) for l, r in rules))
+
+
 @pytest.fixture(scope="session")
 def demo_summary():
     tag, params = rk.classify(1, 2, 2, 2)
@@ -48,6 +53,21 @@ def demo_system(demo_summary):
 def demo_presentation():
     _, params = rk.classify(1, 2, 2, 2)
     return rk.one_relator_presentation(params)
+
+
+# Modules that call one of the next two fixtures ``demo`` import it under
+# that name.
+@pytest.fixture(scope="session")
+def certified_demo(demo_summary, demo_presentation):
+    """The certified (1,2,2,2) system, its presentation and its params."""
+    return demo_summary.system, demo_presentation, demo_summary.params
+
+
+@pytest.fixture(scope="session")
+def demo_schema():
+    """The (1,2,2,2) system as build_system writes it, left uncertified."""
+    tag, params = rk.classify(1, 2, 2, 2)
+    return rk.build_system(tag, params)
 
 
 @pytest.fixture(scope="session")

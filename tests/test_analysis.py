@@ -25,7 +25,7 @@ from rewritekit.rewrite import (
 )
 from rewritekit.confluence import check_local_confluence, knuth_bendix
 from rewritekit.words import _shortlex_words, alphabet
-from tests.conftest import words_up_to
+from tests.conftest import certified_demo as demo, words_up_to
 
 AB = alphabet("ab")
 GOLDEN = Path(__file__).parent / "golden"
@@ -69,13 +69,6 @@ def bfs_distances(edges_by_node, src):
                 dist[w2] = dist[w] + 1
                 queue.append(w2)
     return dist
-
-
-@pytest.fixture(scope="module")
-def demo():
-    tag, params = rk.classify(1, 2, 2, 2)
-    summary = rk.certify_family_system(tag, params)
-    return summary.system, rk.one_relator_presentation(params), params
 
 
 class TestEqualInMonoid:

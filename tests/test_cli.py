@@ -1,9 +1,13 @@
+import inspect
 import json
 from dataclasses import replace
 
 import pytest
 
 from rewritekit import cli
+from rewritekit.confluence import knuth_bendix
+from rewritekit.family import certify_family_system
+from rewritekit.rewrite import find_termination_order
 
 DEMO_PRESENTATION = "letters: a b\nab^2a^2b^2 = b\n"
 
@@ -391,3 +395,27 @@ class TestReproducibility:
             payload = json.loads(first)
             assert payload["schema"] == 1
             assert "budgets" in payload
+
+
+def _default(func, name):
+    return inspect.signature(func).parameters[name].default
+
+
+class TestDefaults:
+    """Each CLI default that a library function also has is that function's."""
+
+    @pytest.mark.parametrize("argv", [["grid"], ["complete", "--presentation", "m.pres"]])
+    def test_completion_limits(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        assert (args.max_rules, args.max_steps) == (_default(knuth_bendix, "max_rules"),
+                                                    _default(knuth_bendix, "max_steps"))
+
+    @pytest.mark.parametrize("argv", [
+        ["build", "--params", "1", "2", "2", "2"],
+        ["grid"],
+        ["endo", "--params", "1", "2", "2", "2", "--map", "a=a,b=bab"],
+    ])
+    def test_weight_cap(self, argv):
+        args = cli.build_parser().parse_args(argv)
+        assert args.max_weight == _default(find_termination_order, "max_weight")
+        assert args.max_weight == _default(certify_family_system, "max_weight")

@@ -14,22 +14,12 @@ from rewritekit.confluence import (
     knuth_bendix,
 )
 from rewritekit.family import Case
-from rewritekit.rewrite import ReductionOrder, Rule, RewritingSystem, _reduce, normal_form
+from rewritekit.rewrite import ReductionOrder, RewritingSystem, _reduce, normal_form
 from rewritekit.words import alphabet
-from tests.conftest import words_up_to
+from tests.conftest import demo_schema as demo, system, words_up_to
 
 AB = alphabet("ab")
 ABX = alphabet("abx")
-
-
-def system(alpha, *rules):
-    return RewritingSystem(alpha, tuple(Rule(l, r) for l, r in rules))
-
-
-@pytest.fixture(scope="module")
-def demo():
-    tag, params = rk.classify(1, 2, 2, 2)
-    return rk.build_system(tag, params)
 
 
 def single_step_reducts(rules, w):

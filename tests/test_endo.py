@@ -16,20 +16,13 @@ from rewritekit.endo import (
 from rewritekit.rewrite import RewritingSystem
 from rewritekit.confluence import certify
 from rewritekit.words import alphabet
-from tests.conftest import words_up_to
+from tests.conftest import certified_demo as demo, words_up_to
 
 AB = alphabet("ab")
 
 PHI = EndomorphismSpec({"a": "a", "b": "bab"})
 PSI = EndomorphismSpec({"a": "a", "b": "abb"})
 IDENTITY = EndomorphismSpec({"a": "a", "b": "b"})
-
-
-@pytest.fixture(scope="module")
-def demo():
-    tag, params = rk.classify(1, 2, 2, 2)
-    summary = rk.certify_family_system(tag, params)
-    return summary.system, rk.one_relator_presentation(params), params
 
 
 @pytest.fixture(scope="module")

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -102,29 +103,49 @@ class TestBuildSystem:
                 build(params)
 
 
+@pytest.fixture(scope="module")
+def demo_equivalence():
+    tag, params = classify(1, 2, 2, 2)
+    return verify_presentation_equivalence(
+        one_relator_presentation(params), build_system(tag, params),
+        x_definition(params))
+
+
 class TestEquivalence:
-    def test_demo_equivalence(self):
-        tag, params = classify(1, 2, 2, 2)
-        report = verify_presentation_equivalence(
-            one_relator_presentation(params), build_system(tag, params),
-            x_definition(params))
-        assert report.passed and not report.inconclusive
+    def test_demo_equivalence(self, demo_equivalence):
+        report = demo_equivalence
+        assert report.verdict == "PASS"
         # ab = x^2 holds by a single application of the defining relation
         assert report.rule_results[1].d == 1
         assert report.relator_normal_form == "b"
+
+    # rule index -> status on the demo's report (every rule equal there)
+    @pytest.mark.parametrize("statuses, relator_normal_forms_match, verdict", [
+        ({1: "inconclusive"}, False, "FAIL"),
+        ({1: "inconclusive", 2: "unequal-within-bound"}, True, "FAIL"),
+        ({1: "inconclusive", 3: "inconclusive"}, True, "inconclusive"),
+    ], ids=["relator-mismatch-beats-inconclusive", "unequal-beats-inconclusive",
+            "inconclusive"])
+    def test_verdict(self, demo_equivalence, statuses, relator_normal_forms_match,
+                     verdict):
+        rules = tuple(replace(r, status=statuses.get(r.rule_index, r.status))
+                      for r in demo_equivalence.rule_results)
+        report = replace(demo_equivalence, rule_results=rules,
+                         relator_normal_forms_match=relator_normal_forms_match)
+        assert report.verdict == verdict
 
     def test_no_overlap_rule_is_the_relation(self):
         tag, params = classify(1, 1, 1, 2)
         report = verify_presentation_equivalence(
             one_relator_presentation(params), build_system(tag, params))
-        assert report.passed
+        assert report.verdict == "PASS"
         assert report.rule_results[0].d == 1
 
     def test_case1_derived_rule(self):
         tag, params = classify(1, 1, 1, 1)
         report = verify_presentation_equivalence(
             one_relator_presentation(params), build_system(tag, params))
-        assert report.passed
+        assert report.verdict == "PASS"
         assert all(r.certificate.replay(one_relator_presentation(params))
                    for r in report.rule_results)
 
@@ -162,6 +183,7 @@ class TestCertification:
         summary = grid_summaries[(1, 2, 2, 2)]
         assert summary.certification == rk.Certification.COMPLETE
         assert summary.order is not None
+        assert summary.verdict == "PASS"
 
     def test_case2_below_complete_with_evidence(self, grid_summaries):
         summary = grid_summaries[(2, 2, 3, 2)]
@@ -170,6 +192,16 @@ class TestCertification:
         assert summary.certification != rk.Certification.COMPLETE
         assert summary.empirical is not None and summary.empirical.all_halted
         assert summary.empirical.samples == 200
+        assert summary.verdict == "PASS"
+
+    @pytest.mark.parametrize("t, tamper", [
+        ((1, 2, 2, 2), lambda s: replace(s, order=None)),
+        ((1, 2, 2, 2), lambda s: replace(s, locally_confluent=False)),
+        ((2, 2, 3, 2), lambda s: replace(s, empirical=replace(s.empirical,
+                                                              all_halted=False))),
+    ], ids=["without-order", "not-locally-confluent", "case2-probe-did-not-halt"])
+    def test_fail_verdict(self, grid_summaries, t, tamper):
+        assert tamper(grid_summaries[t]).verdict == "FAIL"
 
     def test_case4_weight_cap_is_computed(self):
         tag, params = classify(1, 4, 4, 2)

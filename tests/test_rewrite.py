@@ -10,7 +10,6 @@ from rewritekit.rewrite import (
     FuelExhausted,
     ReductionOrder,
     Rule,
-    RewritingSystem,
     compare,
     find_termination_order,
     format_system_file,
@@ -21,20 +20,10 @@ from rewritekit.rewrite import (
     verify_termination,
 )
 from rewritekit.words import alphabet
-from tests.conftest import words_up_to
+from tests.conftest import demo_schema as demo, system, words_up_to
 
 AB = alphabet("ab")
 ABX = alphabet("abx")
-
-
-def system(alpha, *rules):
-    return RewritingSystem(alpha, tuple(Rule(l, r) for l, r in rules))
-
-
-@pytest.fixture(scope="module")
-def demo():
-    tag, params = rk.classify(1, 2, 2, 2)
-    return rk.build_system(tag, params)
 
 
 class TestRule:
