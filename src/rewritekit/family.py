@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from typing import Optional
 
 from . import analysis
@@ -328,15 +329,22 @@ EMPIRICAL_SAMPLES, EMPIRICAL_MAX_LENGTH, EMPIRICAL_STEP_BUDGET = 200, 20, 10**5
 EMPIRICAL_SEED = 0
 
 
-def empirical_termination_probe(system: RewritingSystem) -> EmpiricalTermination:
-    """Reduce random words and record that every derivation halted."""
+@cache
+def _probe_words(letters: tuple[str, ...]) -> tuple[Word, ...]:
+    """The probe's seeded random words over ``letters``, drawn once."""
     rng = random.Random(EMPIRICAL_SEED)
-    pairs = system.rule_pairs()
-    letters = system.alphabet.letters
-    halted = True
+    words = []
     for _ in range(EMPIRICAL_SAMPLES):
         n = rng.randint(0, EMPIRICAL_MAX_LENGTH)
-        w = "".join(rng.choice(letters) for _ in range(n))
+        words.append("".join(rng.choice(letters) for _ in range(n)))
+    return tuple(words)
+
+
+def empirical_termination_probe(system: RewritingSystem) -> EmpiricalTermination:
+    """Reduce random words and record that every derivation halted."""
+    pairs = system.rule_pairs()
+    halted = True
+    for w in _probe_words(system.alphabet.letters):
         try:
             _reduce(pairs, w, EMPIRICAL_STEP_BUDGET)
         except FuelExhausted:

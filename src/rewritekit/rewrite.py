@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import permutations, product
+from itertools import permutations
 from typing import Mapping, Optional
 
 from .words import Alphabet, Word, _parse_pair_file, print_word
@@ -252,27 +252,59 @@ def _weight_needed(pairs, letter: str) -> int:
 
 def find_termination_order(system: RewritingSystem,
                            max_weight: int = MAX_WEIGHT) -> Optional[ReductionOrder]:
-    """Exhaustive search for a certifying weighted-shortlex order.
+    """The first certifying weighted-shortlex order, or ``None``.
 
-    Scans all precedence permutations and all weight vectors with each
-    letter's weight in ``[1, max(max_weight, need)]`` (``need`` from
-    :func:`_weight_needed`), returning the first order under which every
-    rule strictly descends, or ``None``.
+    The search runs over the precedences in ``permutations`` order and,
+    for each, over the weight vectors in ``product`` order, each letter's
+    weight in ``[1, max(max_weight, need)]`` (``need`` from
+    :func:`_weight_needed`).  It returns the first order in that order
+    under which every rule strictly descends.
+
+    Weights are chosen letter by letter, depth first.  A prefix is cut
+    when, for some rule, even the best weights in range for the remaining
+    letters leave its lhs lighter than its rhs, or as heavy with the tie
+    lost on length then letters.  No order below a cut prefix certifies,
+    and on a full vector the test is the sort-key comparison itself, so
+    the answer is the one a full scan would give.  The worst case is a
+    full scan: when no order exists and no single rule rules a prefix
+    out, every vector is visited.
     """
     if max_weight < 1:
         raise ValueError("max weight must be >= 1")
     letters = system.alphabet.letters
     pairs = system.rule_pairs()
-    ranges = [range(1, max(max_weight, _weight_needed(pairs, c)) + 1) for c in letters]
+    tops = [max(max_weight, _weight_needed(pairs, c)) for c in letters]
+    # gains[k][i]: how much rule i's lhs outweighs its rhs per unit weight of letter k
+    gains = [[lhs.count(c) - rhs.count(c) for lhs, rhs in pairs] for c in letters]
+    # best[k][i]: the most that letter k's weight can add to that difference
+    best = [[g * top if g > 0 else g for g in gain] for gain, top in zip(gains, tops)]
+    zero = dict.fromkeys(letters, 0)
+
+    def extend(vec, reach, floors):
+        """The first certifying weights that start with ``vec``, or None;
+        ``reach[i]`` is the largest weight difference rule i can reach
+        with ``vec`` fixed."""
+        if any(r < f for r, f in zip(reach, floors)):
+            return None
+        k = len(vec)
+        if k == len(letters):
+            return dict(zip(letters, vec))
+        for w in range(1, tops[k] + 1):
+            found = extend(vec + (w,), [r + g * w - b for r, g, b in
+                                        zip(reach, gains[k], best[k])], floors)
+            if found:
+                return found
+        return None
+
     for prec in permutations(letters):
         ranks = _letter_ranks(prec)
-        for vec in product(*ranges):
-            weights = dict(zip(letters, vec))
-            for lhs, rhs in pairs:
-                if _order_key(weights, ranks, lhs) <= _order_key(weights, ranks, rhs):
-                    break
-            else:
-                return ReductionOrder(weights, prec)
+        # the least weight difference under which a rule descends: 0 if it
+        # wins a tie (the key of zero weights is length, then letters), else 1
+        floors = [int(_order_key(zero, ranks, lhs) <= _order_key(zero, ranks, rhs))
+                  for lhs, rhs in pairs]
+        weights = extend((), [sum(rule) for rule in zip(*best)], floors)
+        if weights:
+            return ReductionOrder(weights, prec)
     return None
 
 

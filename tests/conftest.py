@@ -1,10 +1,12 @@
 import tempfile
+from itertools import permutations, product
 
 import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import rewritekit as rk
+from rewritekit.rewrite import _letter_ranks, _order_key, _weight_needed
 
 # Property tests draw the same examples on every run and keep no example
 # database; Hypothesis's other caches go to a directory removed at exit,
@@ -29,6 +31,23 @@ def words_up_to(letters, n):
         frontier = [w + c for w in frontier for c in letters]
         out.extend(frontier)
     return out
+
+
+def reference_order_scan(system, max_weight):
+    """The termination-order search as a plain scan: every precedence, then
+    every weight vector in ``product`` order, each tested on every rule's
+    sort keys.  ``find_termination_order`` must return what this returns."""
+    letters = system.alphabet.letters
+    pairs = system.rule_pairs()
+    ranges = [range(1, max(max_weight, _weight_needed(pairs, c)) + 1) for c in letters]
+    for prec in permutations(letters):
+        ranks = _letter_ranks(prec)
+        for vec in product(*ranges):
+            weights = dict(zip(letters, vec))
+            if all(_order_key(weights, ranks, lhs) > _order_key(weights, ranks, rhs)
+                   for lhs, rhs in pairs):
+                return rk.ReductionOrder(weights, prec)
+    return None
 
 
 def system(alpha, *rules):

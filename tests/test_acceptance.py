@@ -11,9 +11,6 @@ pass.
 
 import random
 import time
-from collections import deque
-
-import pytest
 
 import rewritekit as rk
 from rewritekit.family import Case

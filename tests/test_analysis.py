@@ -21,9 +21,8 @@ from rewritekit.rewrite import (
     Rule,
     RewritingSystem,
     _reduce,
-    verify_termination,
 )
-from rewritekit.confluence import check_local_confluence, knuth_bendix
+from rewritekit.confluence import knuth_bendix
 from rewritekit.words import _shortlex_words, alphabet
 from tests.conftest import certified_demo as demo, words_up_to
 

@@ -30,6 +30,7 @@ from rewritekit.rewrite import (
     verify_termination,
 )
 from rewritekit.words import Alphabet, _shortlex_words, parse_word, print_word
+from tests.conftest import reference_order_scan
 
 LETTER_SETS = ("ab", "abx", "pqrs")
 
@@ -198,6 +199,13 @@ def test_compare_is_a_reduction_order(drawn):
         assert compare(order, u, w) == c
     assert compare(order, left + u, left + v) == c
     assert compare(order, u + right, v + right) == c
+
+
+@given(_systems(), st.sampled_from((1, 2, 3, 8)))
+def test_search_matches_the_reference_scan(system, max_weight):
+    """The pruned search returns the first certifying order of the full scan."""
+    assert (find_termination_order(system, max_weight)
+            == reference_order_scan(system, max_weight))
 
 
 @given(st.booleans().flatmap(lambda shrinking: _systems(shrinking, ("ab", "abx"))),

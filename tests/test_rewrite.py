@@ -6,7 +6,7 @@ import rewritekit as rk
 from rewritekit.confluence import certify
 from rewritekit.rewrite import (
     GREATER,
-    LESS,
+    MAX_WEIGHT,
     FuelExhausted,
     ReductionOrder,
     Rule,
@@ -20,7 +20,13 @@ from rewritekit.rewrite import (
     verify_termination,
 )
 from rewritekit.words import alphabet
-from tests.conftest import demo_schema as demo, system, words_up_to
+from tests.conftest import (
+    GRID,
+    demo_schema as demo,
+    reference_order_scan,
+    system,
+    words_up_to,
+)
 
 AB = alphabet("ab")
 ABX = alphabet("abx")
@@ -173,6 +179,15 @@ class TestVerifyTermination:
             normal_form(s, w, fuel=10**6)
 
 
+def _grid_schemas():
+    """(tuple, system) for every tuple of [1..4]^4 whose schema gets an
+    order search, that is every case but Case2."""
+    for t in GRID:
+        tag, params = rk.classify(*t)
+        if tag.variant != rk.Case.CASE2:
+            yield t, rk.build_system(tag, params)
+
+
 class TestFindTerminationOrder:
     def test_demo_order_found(self, demo):
         order = find_termination_order(demo, max_weight=8)
@@ -194,6 +209,17 @@ class TestFindTerminationOrder:
         order = find_termination_order(s, max_weight=8)
         assert order is not None
         assert set(order.weights.values()) == {1}
+
+    def test_grid_schemas_match_the_reference_scan(self):
+        # the pruned search returns the first certifying order of the full scan
+        for t, s in _grid_schemas():
+            assert find_termination_order(s) == reference_order_scan(s, MAX_WEIGHT), t
+
+    def test_large_weight_cap_returns(self):
+        # up to 1000^3 vectors per precedence: only a pruned search gets through
+        for t, s in _grid_schemas():
+            order = find_termination_order(s, max_weight=1000)
+            assert order is not None and verify_termination(s, order).certified, t
 
 
 class TestSerialization:
