@@ -10,14 +10,13 @@ certificate, a definite "not connected within the bound", or an
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from typing import Optional
 
 from .confluence import knuth_bendix
 from .rewrite import (DEFAULT_FUEL, Certification, Presentation,
                       ReductionOrder, RewritingSystem, _reduce)
-from .words import Word, _shortlex_words
+from .words import Word, _random_words, _shortlex_words
 
 DEFAULT_NODE_BUDGET = 10**6
 MAX_EXHAUSTIVE_N = 14
@@ -236,6 +235,7 @@ class DehnSample:
     space: int
     pairs_examined: int
     exhaustive: bool
+    truncated: bool = False  # the node budget cut some class's graph short
 
 
 def _explore(equations, seeds, cap: int, node_budget: int):
@@ -429,8 +429,9 @@ def dehn_table(presentation: Presentation, n_max: int,
     in one graph.
 
     ``node_budget`` caps each class's graph, not their sum: it guards
-    memory, and a class's graph is all that is held at once.  The rows are
-    marked exhaustive only when no class's graph was cut short.
+    memory, and a class's graph is all that is held at once.  When it cuts
+    a class's graph short, in either mode, the rows are marked truncated
+    and not exhaustive.
     """
     if n_max < 1:
         raise ValueError("n must be >= 1")
@@ -449,13 +450,8 @@ def dehn_table(presentation: Presentation, n_max: int,
     else:
         if sample_count < 1:
             raise ValueError("random mode needs a positive sample count")
-        rng = random.Random(seed)
-        letters = presentation.alphabet.letters
-        picked = set()
-        for _ in range(sample_count):
-            n = rng.randint(1, n_max)
-            picked.add("".join(rng.choice(letters) for _ in range(n)))
-        seeds = sorted(picked, key=lambda w: (len(w), w))
+        seeds = sorted(set(_random_words(presentation.alphabet.letters, sample_count,
+                                         1, n_max, seed)), key=lambda w: (len(w), w))
 
     max_d_at = [0] * (n_max + 1)     # by threshold max(|x|, |y|)
     pairs_at = [0] * (n_max + 1)
@@ -476,7 +472,7 @@ def dehn_table(presentation: Presentation, n_max: int,
             floor = n
         rows.append(DehnSample(n, running_d, max(running_sp, floor),
                                running_pairs,
-                               sample_count is None and exhausted))
+                               sample_count is None and exhausted, not exhausted))
     return rows
 
 

@@ -103,6 +103,26 @@ def _equivalence(args, params, system: RewritingSystem) -> family.EquivalenceRep
         node_budget=args.nodes, fuel=args.fuel)
 
 
+def _verdict(*verdicts: str) -> str:
+    """How ``build --verify`` and ``grid`` combine the certification and
+    equivalence verdicts: FAIL over inconclusive over PASS."""
+    return next((v for v in ("FAIL", "inconclusive") if v in verdicts), "PASS")
+
+
+def _finish(args, budgets: dict, fields: dict, lines: list, notes=(),
+            failed: bool = False) -> int:
+    """How every command ends: its JSON report under ``--json``, else its
+    text lines, on stdout; one ``budget exhausted:`` line per note on
+    stderr; and the exit code, check failure over budget exhaustion over
+    success."""
+    print(_report(args, budgets, **fields) if args.json else "\n".join(lines))
+    for note in notes:
+        print(f"budget exhausted: {note}", file=sys.stderr)
+    if failed:
+        return EXIT_CHECK_FAILED
+    return EXIT_BUDGET if notes else EXIT_OK
+
+
 def cmd_build(args) -> int:
     summary = _certify(args, args.params)
     tag, system, empirical = summary.tag, summary.system, summary.empirical
@@ -112,6 +132,10 @@ def cmd_build(args) -> int:
         "extra_rule": tag.extra_rule,
         "system": _system(system),
     }
+    lines = ["case {} for a^{} b^{} a^{} b^{} = b".format(tag.variant.value, *args.params),
+             str(system), f"certification: {system.certification.value}"]
+    if system.order:
+        lines.append(f"order: {system.order}")
     verdict = None
     if args.verify:
         eq = _equivalence(args, summary.params, system)
@@ -124,28 +148,15 @@ def cmd_build(args) -> int:
                       for i in eq.rule_results],
             "relator_normal_form": _word(eq.relator_normal_form),
         }
-        verdict = "FAIL" if "FAIL" in (summary.verdict, eq.verdict) else eq.verdict
+        verdict = _verdict(summary.verdict, eq.verdict)
+        lines.append(f"verification: {verdict}")
     if args.out:
         Path(args.out).write_text(rewrite.format_system_file(system))
-    if args.json:
-        print(_report(args, {"fuel": args.fuel, "max_weight": args.max_weight,
-                             "oracle_nodes": args.nodes}, result=result))
-    else:
-        print(f"case {tag.variant.value} for a^{args.params[0]} b^{args.params[1]} "
-              f"a^{args.params[2]} b^{args.params[3]} = b")
-        print(str(system))
-        print(f"certification: {system.certification.value}")
-        if system.order:
-            print(f"order: {system.order}")
-        if args.verify:
-            print(f"verification: {verdict}")
-    if verdict == "FAIL":
-        return EXIT_CHECK_FAILED
-    if verdict == "inconclusive":
-        print(f"budget exhausted: the {args.nodes}-node budget left the equivalence "
-              "check inconclusive", file=sys.stderr)
-        return EXIT_BUDGET
-    return EXIT_OK
+    notes = ([f"the {args.nodes}-node budget left the equivalence check inconclusive"]
+             if verdict == "inconclusive" else [])
+    return _finish(args, {"fuel": args.fuel, "max_weight": args.max_weight,
+                          "oracle_nodes": args.nodes}, {"result": result},
+                   lines, notes, failed=verdict == "FAIL")
 
 
 def cmd_grid(args) -> int:
@@ -156,20 +167,21 @@ def cmd_grid(args) -> int:
             raise ValueError(f"unknown check {c!r}; known: {sorted(known)}")
     ranges = [_parse_range(getattr(args, name) or args.range)
               for name in ("alpha", "beta", "gamma", "delta")]
-    rows = []
+    rows, lines = [], []
     truncated = []  # tuples whose Dehn table the node budget cut short
-    undecided = []  # tuples whose equivalence check it left inconclusive
+    undecided = []  # tuples whose verdict it left inconclusive
     hard_failure = False
     for exponents in product(*ranges):
         t0 = time.perf_counter()
         row: dict = {"params": list(exponents)}
+        verdicts = []
         if "completeness" in checks:
             summary = _certify(args, exponents)
             tag, params, system = summary.tag, summary.params, summary.system
             row["certification"] = summary.certification.value
             row["locally_confluent"] = summary.locally_confluent
             row["order"] = str(summary.order) if summary.order else None
-            hard_failure |= summary.verdict == "FAIL"
+            verdicts.append(summary.verdict)
             if summary.empirical is not None:
                 row["empirical_all_halted"] = summary.empirical.all_halted
         else:
@@ -179,9 +191,11 @@ def cmd_grid(args) -> int:
         if "equivalence" in checks:
             eq = _equivalence(args, params, system)
             row["equivalence"] = eq.verdict
-            hard_failure |= eq.verdict == "FAIL"
-            if eq.verdict == "inconclusive":
-                undecided.append(exponents)
+            verdicts.append(eq.verdict)
+        verdict = _verdict(*verdicts)
+        hard_failure |= verdict == "FAIL"
+        if verdict == "inconclusive":
+            undecided.append(exponents)
         if "probe" in checks:
             pres = (family.extended_presentation(params)
                     if tag.variant in (family.Case.CASE3, family.Case.CASE4)
@@ -199,39 +213,32 @@ def cmd_grid(args) -> int:
                 family.one_relator_presentation(params), args.dehn_n,
                 node_budget=args.nodes)
             row["dehn"] = [[s.n, s.dehn, s.space] for s in table]
-            if not all(s.exhaustive for s in table):
+            if any(s.truncated for s in table):
                 truncated.append(exponents)
-        rows.append((row, time.perf_counter() - t0))
-    payload = _report(args, {"fuel": args.fuel, "max_weight": args.max_weight,
-                             "oracle_nodes": args.nodes, "max_rules": args.max_rules,
-                             "max_steps": args.max_steps},
-                      checks=checks, rows=[r for r, _ in rows])
-    if args.json:
-        print(payload)
-    else:
-        for row, elapsed in rows:
-            fields = [f"{tuple(row['params'])}", f"{row['case']:9}"]
-            for key in ("certification", "equivalence", "probe",
-                        "length_non_increasing"):
-                if key in row:
-                    fields.append(f"{key}={row[key]}")
-            if "dehn" in row:
-                _, dehn, space = row["dehn"][-1]
-                fields.append(f"dehn={dehn} space={space}")
-            fields.append(f"{elapsed:.2f}s")
-            print("  ".join(str(f) for f in fields))
-        print(f"{len(rows)} tuples; hard failure: {hard_failure}")
+        rows.append(row)
+        fields = [f"{tuple(exponents)}", f"{row['case']:9}"]
+        for key in ("certification", "equivalence", "probe", "length_non_increasing"):
+            if key in row:
+                fields.append(f"{key}={row[key]}")
+        if "dehn" in row:
+            _, dehn, space = row["dehn"][-1]
+            fields.append(f"dehn={dehn} space={space}")
+        fields.append(f"{time.perf_counter() - t0:.2f}s")
+        lines.append("  ".join(fields))
+    lines.append(f"{len(rows)} tuples; hard failure: {hard_failure}")
+    budgets = {"fuel": args.fuel, "max_weight": args.max_weight, "oracle_nodes": args.nodes,
+               "max_rules": args.max_rules, "max_steps": args.max_steps}
+    report_fields = {"checks": checks, "rows": rows}
     if args.out:
-        Path(args.out).write_text(payload + "\n")
+        Path(args.out).write_text(_report(args, budgets, **report_fields) + "\n")
+    notes = []
     if truncated:
-        print(f"budget exhausted: the {args.nodes}-node budget truncated the Dehn "
-              f"table of {', '.join(map(str, truncated))}", file=sys.stderr)
+        notes.append(f"the {args.nodes}-node budget truncated the Dehn table of "
+                     f"{', '.join(map(str, truncated))}")
     if undecided:
-        print(f"budget exhausted: the {args.nodes}-node budget left the equivalence "
-              f"check of {', '.join(map(str, undecided))} inconclusive", file=sys.stderr)
-    if hard_failure:
-        return EXIT_CHECK_FAILED
-    return EXIT_BUDGET if truncated or undecided else EXIT_OK
+        notes.append(f"the {args.nodes}-node budget left the equivalence check of "
+                     f"{', '.join(map(str, undecided))} inconclusive")
+    return _finish(args, budgets, report_fields, lines, notes, failed=hard_failure)
 
 
 def cmd_complete(args) -> int:
@@ -241,40 +248,31 @@ def cmd_complete(args) -> int:
              else ReductionOrder({c: 1 for c in letters}, tuple(letters)))
     report = confluence.knuth_bendix(pres, order, max_rules=args.max_rules,
                                      max_steps=args.max_steps, fuel=args.fuel)
-    if args.json:
-        print(_report(args, {"max_rules": args.max_rules, "max_steps": args.max_steps,
-                             "fuel": args.fuel},
-                      order=str(order),
-                      result={
-                          "outcome": report.outcome,
-                          "system": _system(report.system) if report.system else None,
-                          "stats": asdict(report.stats),
-                      }))
-    else:
-        print(f"outcome: {report.outcome}")
-        if report.system:
-            print(str(report.system))
-        print(f"stats: {report.stats}")
     if report.completed and args.out:
         Path(args.out).write_text(rewrite.format_system_file(report.system))
-    if not report.completed:
-        print(f"budget exhausted: the {args.max_rules}-rule or {args.max_steps}-step "
-              "limit stopped completion", file=sys.stderr)
-        return EXIT_BUDGET
-    return EXIT_OK
+    result = {
+        "outcome": report.outcome,
+        "system": _system(report.system) if report.system else None,
+        "stats": asdict(report.stats),
+    }
+    lines = [f"outcome: {report.outcome}",
+             *([str(report.system)] if report.system else []),
+             f"stats: {report.stats}"]
+    notes = [] if report.completed else [
+        f"the {args.max_rules}-rule or {args.max_steps}-step limit stopped completion"]
+    return _finish(args, {"max_rules": args.max_rules, "max_steps": args.max_steps,
+                          "fuel": args.fuel},
+                   {"order": str(order), "result": result}, lines, notes)
 
 
 def cmd_nf(args) -> int:
     system = rewrite.parse_system_file(Path(args.system).read_text())
     w = parse_word(args.word, system.alphabet)
     nf, trace = rewrite.normal_form(system, w, fuel=args.fuel)
-    if args.json:
-        print(_report(args, {"fuel": args.fuel},
-                      result={"word": _word(w), "normal_form": _word(nf),
-                              "steps": len(trace.steps)}))
-    else:
-        print(_word(nf))
-    return EXIT_OK
+    return _finish(args, {"fuel": args.fuel},
+                   {"result": {"word": _word(w), "normal_form": _word(nf),
+                               "steps": len(trace.steps)}},
+                   [_word(nf)])
 
 
 def cmd_equal(args) -> int:
@@ -284,20 +282,13 @@ def cmd_equal(args) -> int:
     bound = args.bound or max(len(u), len(v)) + analysis.default_slack(pres)
     outcome = analysis.equal_in_monoid(pres, u, v, bound, node_budget=args.nodes,
                                        minimize="space" if args.space else "steps")
-    if args.json:
-        print(_report(args, {"bound": bound, "oracle_nodes": args.nodes},
-                      result={"status": outcome.status,
-                              "certificate": _certificate(outcome.certificate)}))
-    elif outcome.status == "equal":
-        c = outcome.certificate
-        print(f"equal (d={c.d}, s={c.s})")
-    else:
-        print(outcome.status)
-    if outcome.status == "inconclusive":
-        print(f"budget exhausted: the {args.nodes}-node budget left the query "
-              "inconclusive", file=sys.stderr)
-        return EXIT_BUDGET
-    return EXIT_OK
+    c = outcome.certificate
+    line = f"equal (d={c.d}, s={c.s})" if outcome.status == "equal" else outcome.status
+    notes = ([f"the {args.nodes}-node budget left the query inconclusive"]
+             if outcome.status == "inconclusive" else [])
+    return _finish(args, {"bound": bound, "oracle_nodes": args.nodes},
+                   {"result": {"status": outcome.status, "certificate": _certificate(c)}},
+                   [line], notes)
 
 
 def cmd_dehn(args) -> int:
@@ -314,21 +305,15 @@ def cmd_dehn(args) -> int:
     table = analysis.dehn_table(pres, args.n, sample_count=count,
                                 slack=args.slack, node_budget=args.nodes,
                                 seed=args.seed)
-    if args.json:
-        print(_report(args, {"oracle_nodes": args.nodes, "slack": args.slack},
-                      mode=args.mode,
-                      rows=[{"n": s.n, "dehn": s.dehn, "space": s.space,
-                             "pairs": s.pairs_examined, "exhaustive": s.exhaustive}
-                            for s in table]))
-    else:
-        print(f"{'n':>3} {'dehn':>5} {'space':>6} {'pairs':>8}  exhaustive")
-        for s in table:
-            print(f"{s.n:>3} {s.dehn:>5} {s.space:>6} {s.pairs_examined:>8}  {s.exhaustive}")
-    if count is None and not all(s.exhaustive for s in table):
-        print(f"budget exhausted: the {args.nodes}-node budget truncated the table "
-              "(rows marked exhaustive False)", file=sys.stderr)
-        return EXIT_BUDGET
-    return EXIT_OK
+    rows = [{"n": s.n, "dehn": s.dehn, "space": s.space,
+             "pairs": s.pairs_examined, "exhaustive": s.exhaustive} for s in table]
+    lines = [f"{'n':>3} {'dehn':>5} {'space':>6} {'pairs':>8}  exhaustive"]
+    lines += [f"{s.n:>3} {s.dehn:>5} {s.space:>6} {s.pairs_examined:>8}  {s.exhaustive}"
+              for s in table]
+    notes = ([f"the {args.nodes}-node budget truncated the table "
+              "(rows marked exhaustive False)"] if any(s.truncated for s in table) else [])
+    return _finish(args, {"oracle_nodes": args.nodes, "slack": args.slack},
+                   {"mode": args.mode, "rows": rows}, lines, notes)
 
 
 def cmd_endo(args) -> int:
@@ -346,29 +331,22 @@ def cmd_endo(args) -> int:
         "relation_normal_forms": [[_word(a), _word(b)]
                                   for a, b in lift.relation_normal_forms],
     }
+    lines = [f"map {phi}: {'lifts' if lift.lifts else 'does not lift'}"]
+    lines += [f"  relation normal forms: {a} vs {b}"
+              for a, b in result["relation_normal_forms"]]
     if lift.lifts and args.surjective_bound:
         result["surjectivity"] = _preimages(endo.surjectivity_evidence(
             system, pres, phi, args.surjective_bound, fuel=args.fuel))
+        lines += [f"  preimage of {g}: {w}" for g, w in sorted(result["surjectivity"].items())]
     if lift.lifts and args.noninjective_bound:
         witness = endo.find_injectivity_violation(system, pres, phi,
                                                   args.noninjective_bound,
                                                   fuel=args.fuel)
         result["witness"] = None if witness is None else _witness(witness)
-    if args.json:
-        print(_report(args, {"fuel": args.fuel,
-                             "surjective_bound": args.surjective_bound,
-                             "noninjective_bound": args.noninjective_bound},
-                      params=list(args.params), result=result))
-    else:
-        print(f"map {phi}: {'lifts' if lift.lifts else 'does not lift'}")
-        for a, b in result["relation_normal_forms"]:
-            print(f"  relation normal forms: {a} vs {b}")
-        if "surjectivity" in result:
-            for g, w in sorted(result["surjectivity"].items()):
-                print(f"  preimage of {g}: {w}")
-        if "witness" in result:
-            print(f"  injectivity witness: {result['witness']}")
-    return EXIT_OK
+        lines.append(f"  injectivity witness: {result['witness']}")
+    return _finish(args, {"fuel": args.fuel, "surjective_bound": args.surjective_bound,
+                          "noninjective_bound": args.noninjective_bound},
+                   {"params": list(args.params), "result": result}, lines)
 
 
 def cmd_hopf_demo(args) -> int:
@@ -388,24 +366,19 @@ def cmd_hopf_demo(args) -> int:
                             if key in ("u", "v")},
         "conclusion": report.conclusion,
     }
-    if args.json:
-        print(_report(args, {"fuel": args.fuel}, result=result))
-        return EXIT_OK
-    print(f"system for a^1 b^2 a^2 b^2 = b ({report.system.certification.value}):")
-    for rule in report.system.rules:
-        print(f"  {rule}")
-    print(f"lift a->a, b->bab: {report.lift_verdict} "
-          f"(both relation sides reduce to {result['lift_normal_forms'][0][0]})")
-    for g, w in sorted(result["surjectivity"].items()):
-        print(f"preimage of {g}: {w}")
-    print("inverse probe b->ab^2 does not lift: normal forms "
-          "{} vs {}".format(*result["non_lift_normal_forms"]))
-    print(f"injectivity witness (bound {report.witness_bound}): "
-          f"{witness['u']} vs {witness['v']} "
-          f"(normal forms {witness['u_normal_form']} vs {witness['v_normal_form']}; "
-          f"images both {witness['image_normal_form']})")
-    print(report.conclusion)
-    return EXIT_OK
+    lines = [f"system for a^1 b^2 a^2 b^2 = b ({report.system.certification.value}):",
+             *(f"  {rule}" for rule in report.system.rules),
+             f"lift a->a, b->bab: {report.lift_verdict} "
+             f"(both relation sides reduce to {result['lift_normal_forms'][0][0]})",
+             *(f"preimage of {g}: {w}" for g, w in sorted(result["surjectivity"].items())),
+             "inverse probe b->ab^2 does not lift: normal forms "
+             "{} vs {}".format(*result["non_lift_normal_forms"]),
+             f"injectivity witness (bound {report.witness_bound}): "
+             f"{witness['u']} vs {witness['v']} "
+             f"(normal forms {witness['u_normal_form']} vs {witness['v_normal_form']}; "
+             f"images both {witness['image_normal_form']})",
+             report.conclusion]
+    return _finish(args, {"fuel": args.fuel}, {"result": result}, lines)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -10,7 +10,6 @@ a^(pk) b^s.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -30,7 +29,7 @@ from .rewrite import (
     _reduce,
     find_termination_order,
 )
-from .words import Alphabet, Word, alphabet
+from .words import Alphabet, Word, _random_words, alphabet
 
 AB = alphabet("ab")
 ABX = alphabet("abx")
@@ -271,11 +270,11 @@ class ChainReport:
         return all(i.status == "equal" for i in self.identities)
 
 
-def check_derivation_chain(params: FamilyParams,
-                           node_budget: int = analysis.DEFAULT_NODE_BUDGET) -> ChainReport:
+def check_derivation_chain(params: FamilyParams) -> ChainReport:
     """Replay the identities behind the k>=2 construction over
     <a,b,x | relator = b, a^(pk) b^s = x>: one per rule that
     :func:`build_system` ships, so the chain checks exactly those rules.
+    Each identity gets the oracle at the default node budget.
     """
     tag, _ = classify(params.alpha, params.beta, params.gamma, params.delta)
     if tag.variant != Case.CASE4:
@@ -285,7 +284,7 @@ def check_derivation_chain(params: FamilyParams,
     for name, rule in zip(CASE4_IDENTITY_NAMES, build_system(tag, params).rules):
         # expand-b is derived as b = ..., the rule read right to left
         lhs, rhs = (rule.rhs, rule.lhs) if name == "expand-b" else (rule.lhs, rule.rhs)
-        outcome = _oracle_with_deepening(pres, lhs, rhs, node_budget)
+        outcome = _oracle_with_deepening(pres, lhs, rhs, analysis.DEFAULT_NODE_BUDGET)
         cert = outcome.certificate
         out.append(ChainIdentity(name, lhs, rhs, outcome.status,
                                  d=cert.d if cert else None,
@@ -332,12 +331,8 @@ EMPIRICAL_SEED = 0
 @cache
 def _probe_words(letters: tuple[str, ...]) -> tuple[Word, ...]:
     """The probe's seeded random words over ``letters``, drawn once."""
-    rng = random.Random(EMPIRICAL_SEED)
-    words = []
-    for _ in range(EMPIRICAL_SAMPLES):
-        n = rng.randint(0, EMPIRICAL_MAX_LENGTH)
-        words.append("".join(rng.choice(letters) for _ in range(n)))
-    return tuple(words)
+    return tuple(_random_words(letters, EMPIRICAL_SAMPLES, 0, EMPIRICAL_MAX_LENGTH,
+                               EMPIRICAL_SEED))
 
 
 def empirical_termination_probe(system: RewritingSystem) -> EmpiricalTermination:

@@ -16,7 +16,7 @@ from typing import Mapping, Optional
 
 from .words import Alphabet, Word, _parse_pair_file, print_word
 
-LESS, EQUAL, GREATER = -1, 0, 1
+LESS, GREATER = -1, 1  # compare() returns 0 only for identical words
 
 DEFAULT_FUEL = 10**6
 MAX_WEIGHT = 8  # the termination-order search's default weight cap

@@ -8,6 +8,7 @@ threads and workers.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 Word = str
@@ -41,27 +42,12 @@ class Alphabet:
     def __contains__(self, letter: str) -> bool:
         return letter in self.letters
 
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def index(self, letter: str) -> int:
-        return self.letters.index(letter)
-
     def validate_word(self, word: Word) -> Word:
         """Return ``word`` unchanged, raising if any letter is foreign."""
         for ch in word:
             if ch not in self.letters:
                 raise WordSyntaxError(f"letter {ch!r} not in alphabet {''.join(self.letters)!r}")
         return word
-
-    def extend(self, letter: str) -> "Alphabet":
-        """A new alphabet with ``letter`` appended (last in precedence)."""
-        if letter in self.letters:
-            raise ValueError(f"letter {letter!r} already present")
-        return Alphabet(self.letters + (letter,))
 
 
 def alphabet(letters: str) -> Alphabet:
@@ -161,3 +147,12 @@ def _shortlex_words(letters, max_length: int, prune=None):
         if prune is not None:
             frontier = [w for w in frontier if not prune(w)]
         yield from frontier
+
+
+def _random_words(letters, count: int, min_length: int, max_length: int, seed: int):
+    """``count`` seeded random words over ``letters``: each draws its length
+    uniformly from min_length..max_length, then each letter uniformly."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.randint(min_length, max_length)
+        yield "".join(rng.choice(letters) for _ in range(n))

@@ -318,6 +318,16 @@ class TestDehn:
             assert ra.dehn <= re.dehn and ra.space <= re.space
             assert not ra.exhaustive
 
+    def test_random_mode_marks_a_cut_graph_truncated(self, demo):
+        # random rows are never exhaustive, so only `truncated` tells the cut
+        # table (d = 6 at n = 10) from the whole one (d = 10)
+        _, pres, _ = demo
+        whole = dehn_table(pres, 10, sample_count=600, seed=1)
+        cut = dehn_table(pres, 10, sample_count=600, seed=1, node_budget=40)
+        assert not any(r.truncated or r.exhaustive for r in whole)
+        assert all(r.truncated and not r.exhaustive for r in cut)
+        assert (cut[-1].dehn, whole[-1].dehn) == (6, 10)
+
 
 # Rows and certificates recorded before the graph layer was rewritten
 # around a word-only enumerator; the rewrite must reproduce them exactly.
@@ -384,10 +394,11 @@ class TestGolden:
         golden = json.loads((GOLDEN / "dehn_exhaustive.json").read_text())["rows"]
         assert _rows(table) == [(r["n"], r["dehn"], r["space"], r["pairs"])
                                 for r in golden]
-        assert all(r.exhaustive for r in table)
+        assert all(r.exhaustive and not r.truncated for r in table)
         table = dehn_table(pres, 6, node_budget=30)
         assert _rows(table) == DEMO_ROWS_N6_BUDGET_30
         assert not any(r.exhaustive for r in table)
+        assert all(r.truncated for r in table)
 
     def test_random_rows(self, demo):
         _, pres, _ = demo
@@ -571,7 +582,7 @@ class TestEnumerateElements:
     def test_shortlex_sorted(self, demo):
         system, _, _ = demo
         out = enumerate_elements(system, 3)
-        keys = [(len(w), [system.alphabet.index(c) for c in w]) for w in out]
+        keys = [(len(w), [system.alphabet.letters.index(c) for c in w]) for w in out]
         assert keys == sorted(keys)
 
     def test_requires_certification(self):

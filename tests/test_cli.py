@@ -107,11 +107,15 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["equal", "--presentation", "{dir}", "ab", "b"],
         ["build", "--params", "1", "2", "2", "2", "--out", "{dir}"],
+        ["grid", "--range", "1..1", "--out", "{dir}"],
     ])
     def test_usage_error_on_unusable_path(self, argv, tmp_path, capsys):
-        # a directory where a file is expected is an OSError, not a crash
+        # a directory where a file is expected is an OSError, not a crash,
+        # and no report is printed before the error
         assert cli.main([a.format(dir=tmp_path) for a in argv]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert captured.out == ""
 
     @pytest.mark.parametrize("mode", ["random:x", "random:", "sampled:5"])
     def test_usage_error_on_bad_dehn_mode(self, mode, pres_file, capsys):
@@ -130,6 +134,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert "False" in captured.out
         assert captured.err.startswith("budget exhausted:")
+
+    def test_budget_exhaustion_on_truncated_random_dehn_table(self, pres_file, capsys):
+        # random rows are never exhaustive, so only the exit code and the
+        # note tell the cut table (d = 6 at n = 10) from the whole one (d = 10)
+        argv = ["dehn", "--presentation", pres_file, "--n", "10",
+                "--mode", "random:600", "--seed", "1"]
+        assert cli.main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1].split() == ["10", "10", "22", "30", "False"]
+        assert captured.err == ""
+        assert cli.main(argv + ["--nodes", "40"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out.splitlines()[-1].split() == ["10", "6", "19", "22", "False"]
+        assert captured.err.startswith("budget exhausted:")
+        assert len(captured.err.splitlines()) == 1
 
     def test_budget_exhaustion_on_truncated_grid_dehn_table(self, capsys):
         assert cli.main(["grid", "--range", "1..1", "--checks", "dehn",

@@ -1,10 +1,10 @@
 """The README's examples show what the code computes.
 
 The Python block runs as written, and every expression line whose comment
-is a literal must evaluate to that literal.  The CLI block runs through
-``cli.main`` up to its last ``# -> result`` line, in a directory holding
-the ``m.pres`` the README shows; every command must succeed, and each
-``# ->`` line must print its result.
+is a literal must evaluate to that literal.  Every line of the CLI block
+must parse; the lines up to its last ``# -> result`` line also run through
+``cli.main``, in a directory holding the ``m.pres`` the README shows, and
+each must succeed, with each ``# ->`` line printing its result.
 """
 
 import ast
@@ -40,6 +40,9 @@ def test_cli_examples_print_what_they_show(tmp_path, monkeypatch, capsys):
     (block,) = [b for b in re.findall(r"```sh\n(.*?)```", README, re.S)
                 if b.startswith("rewritekit ")]
     commands = [line.partition("#") for line in block.splitlines()]
+    parser = cli.build_parser()
+    for command, _, _ in commands:
+        parser.parse_args(shlex.split(command)[1:])  # a stale flag exits 2
     last = max(i for i, (_, _, comment) in enumerate(commands) if comment.startswith(" ->"))
     checked = []
     for command, _, comment in commands[:last + 1]:

@@ -7,6 +7,7 @@ from rewritekit.confluence import _pairs_for_rules
 from rewritekit.words import (
     Alphabet,
     WordSyntaxError,
+    _random_words,
     alphabet,
     find_occurrences,
     parse_word,
@@ -39,11 +40,6 @@ class TestAlphabet:
         assert AB.validate_word("abba") == "abba"
         with pytest.raises(WordSyntaxError):
             AB.validate_word("abc")
-
-    def test_extend(self):
-        assert AB.extend("x").letters == ("a", "b", "x")
-        with pytest.raises(ValueError):
-            AB.extend("a")
 
 
 class TestParseWord:
@@ -140,3 +136,14 @@ class TestOverlaps:
             tag, params = classify(a, b, g, d)
             has_overlap = bool(_pairs_for_rules([(params.relator, "b")]))
             assert has_overlap == (tag.variant != Case.NO_OVERLAP)
+
+
+def test_random_words_draw_a_length_then_its_letters():
+    # Dehn-table random seeds and the Case2 termination probe draw this way
+    rng = random.Random(3)
+    expected = []
+    for _ in range(50):
+        n = rng.randint(2, 5)
+        expected.append("".join(rng.choice("ab") for _ in range(n)))
+    assert list(_random_words("ab", 50, 2, 5, seed=3)) == expected
+    assert all(2 <= len(w) <= 5 for w in expected)
