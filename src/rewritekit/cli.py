@@ -20,7 +20,7 @@ from typing import Optional
 
 from . import analysis, confluence, endo, family, rewrite
 from .rewrite import FuelExhausted, ReductionOrder, RewritingSystem
-from .words import Word, WordSyntaxError, parse_word, print_word
+from .words import Word, parse_word, print_word
 
 SCHEMA_VERSION = 1
 
@@ -344,7 +344,8 @@ def cmd_endo(args) -> int:
                                                   fuel=args.fuel)
         result["witness"] = None if witness is None else _witness(witness)
         lines.append(f"  injectivity witness: {result['witness']}")
-    return _finish(args, {"fuel": args.fuel, "surjective_bound": args.surjective_bound,
+    return _finish(args, {"fuel": args.fuel, "max_weight": args.max_weight,
+                          "surjective_bound": args.surjective_bound,
                           "noninjective_bound": args.noninjective_bound},
                    {"params": list(args.params), "result": result}, lines)
 
@@ -491,7 +492,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return EXIT_BUDGET
     # OSError: an unreadable input or unwritable output path
-    except (ValueError, WordSyntaxError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

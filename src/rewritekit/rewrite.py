@@ -238,27 +238,17 @@ def verify_termination(system: RewritingSystem, order: ReductionOrder) -> Termin
     return TerminationReport(True)
 
 
-def _weight_needed(pairs, letter: str) -> int:
-    """Smallest weight of ``letter`` that orients every rule the weights
-    decide when every other letter weighs 1."""
-    need = 1
-    for lhs, rhs in pairs:
-        n_l, m_l = lhs.count(letter), rhs.count(letter)
-        if n_l > m_l:
-            n_o, m_o = len(lhs) - n_l, len(rhs) - m_l
-            need = max(need, max(0, m_o - n_o) // (n_l - m_l) + 1)
-    return need
-
-
 def find_termination_order(system: RewritingSystem,
                            max_weight: int = MAX_WEIGHT) -> Optional[ReductionOrder]:
     """The first certifying weighted-shortlex order, or ``None``.
 
     The search runs over the precedences in ``permutations`` order and,
     for each, over the weight vectors in ``product`` order, each letter's
-    weight in ``[1, max(max_weight, need)]`` (``need`` from
-    :func:`_weight_needed`).  It returns the first order in that order
-    under which every rule strictly descends.
+    weight in ``[1, max(max_weight, need)]``.  A letter's ``need`` is the
+    least weight at which every rule with more of it on the left than on
+    the right is strictly heavier on the left, every other letter weighing
+    1.  It returns the first order in that order under which every rule
+    strictly descends.
 
     Weights are chosen letter by letter, depth first.  A prefix is cut
     when, for some rule, even the best weights in range for the remaining
@@ -273,10 +263,15 @@ def find_termination_order(system: RewritingSystem,
         raise ValueError("max weight must be >= 1")
     letters = system.alphabet.letters
     pairs = system.rule_pairs()
-    tops = [max(max_weight, _weight_needed(pairs, c)) for c in letters]
     # gains[k][i]: how much rule i's lhs outweighs its rhs per unit weight of letter k
     gains = [[lhs.count(c) - rhs.count(c) for lhs, rhs in pairs] for c in letters]
-    # best[k][i]: the most that letter k's weight can add to that difference
+    growth = [len(rhs) - len(lhs) for lhs, rhs in pairs]
+    # with letter k at weight w and every other letter at 1, rule i's lhs
+    # outweighs its rhs by gains[k][i] * (w - 1) - growth[i], which is
+    # positive from w = 2 + growth[i] // gains[k][i] on when gains[k][i] > 0
+    tops = [max([max_weight, *(2 + d // g for g, d in zip(gain, growth) if g > 0)])
+            for gain in gains]
+    # best[k][i]: the most that letter k's weight can add to rule i's lhs-rhs difference
     best = [[g * top if g > 0 else g for g in gain] for gain, top in zip(gains, tops)]
     zero = dict.fromkeys(letters, 0)
 

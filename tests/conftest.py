@@ -6,7 +6,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import rewritekit as rk
-from rewritekit.rewrite import _letter_ranks, _order_key, _weight_needed
+from rewritekit.rewrite import _letter_ranks, _order_key
 
 # Property tests draw the same examples on every run and keep no example
 # database; Hypothesis's other caches go to a directory removed at exit,
@@ -33,13 +33,28 @@ def words_up_to(letters, n):
     return out
 
 
+def weight_needed(pairs, letter):
+    """The least weight w >= 1 of ``letter`` at which every rule with more
+    of it on its left than on its right is strictly heavier on the left,
+    every other letter weighing 1; found by trying w = 1, 2, ... in turn."""
+    def weight(word, w):
+        return sum(w if c == letter else 1 for c in word)
+    gaining = [(lhs, rhs) for lhs, rhs in pairs if lhs.count(letter) > rhs.count(letter)]
+    w = 1
+    while not all(weight(lhs, w) > weight(rhs, w) for lhs, rhs in gaining):
+        w += 1
+    return w
+
+
 def reference_order_scan(system, max_weight):
     """The termination-order search as a plain scan: every precedence, then
-    every weight vector in ``product`` order, each tested on every rule's
-    sort keys.  ``find_termination_order`` must return what this returns."""
+    every weight vector in ``product`` order, each letter's weight up to
+    ``max(max_weight, weight_needed(...))``, each vector tested on every
+    rule's sort keys.  ``find_termination_order`` must return what this
+    returns."""
     letters = system.alphabet.letters
     pairs = system.rule_pairs()
-    ranges = [range(1, max(max_weight, _weight_needed(pairs, c)) + 1) for c in letters]
+    ranges = [range(1, max(max_weight, weight_needed(pairs, c)) + 1) for c in letters]
     for prec in permutations(letters):
         ranks = _letter_ranks(prec)
         for vec in product(*ranges):

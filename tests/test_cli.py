@@ -293,6 +293,15 @@ class TestCommands:
         assert result["empirical_termination"]["all_halted"] is True
         assert result["equivalence"]["passed"] is True
 
+    def test_grid_case2_row_reports_empirical(self, capsys):
+        assert cli.main(["grid", "--range", "2..2", "--gamma", "3", "--json"]) == 0
+        [row] = json.loads(capsys.readouterr().out)["rows"]
+        assert row["params"] == [2, 2, 3, 2]
+        assert row["case"] == "Case2"
+        assert row["certification"] == "locally-confluent"
+        assert row["order"] is None
+        assert row["empirical_all_halted"] is True
+
     def test_grid_small(self, capsys):
         assert cli.main(["grid", "--range", "1..2",
                          "--checks", "completeness,equivalence"]) == 0

@@ -7,18 +7,19 @@ import rewritekit as rk
 from rewritekit.family import (
     Case,
     CaseTag,
+    EmpiricalTermination,
     build_system,
     certify_family_system,
     check_derivation_chain,
     classify,
+    empirical_termination_probe,
     extended_presentation,
     one_relator_presentation,
     verify_presentation_equivalence,
     x_definition,
 )
-from rewritekit.rewrite import (_reduce, _weight_needed, format_presentation_file,
-                               parse_presentation_file)
-from tests.conftest import GRID
+from rewritekit.rewrite import _reduce, format_presentation_file, parse_presentation_file
+from tests.conftest import GRID, system
 
 
 class TestClassify:
@@ -194,6 +195,12 @@ class TestCertification:
         assert summary.empirical.samples == 200
         assert summary.verdict == "PASS"
 
+    def test_probe_reports_a_reduction_that_does_not_halt(self):
+        # ab -> ba -> ab loops on any word holding both letters
+        probe = empirical_termination_probe(system(rk.alphabet("ab"),
+                                                   ("ab", "ba"), ("ba", "ab")))
+        assert probe == EmpiricalTermination(200, 20, 10**5, all_halted=False)
+
     @pytest.mark.parametrize("t, tamper", [
         ((1, 2, 2, 2), lambda s: replace(s, order=None)),
         ((1, 2, 2, 2), lambda s: replace(s, locally_confluent=False)),
@@ -204,9 +211,11 @@ class TestCertification:
         assert tamper(grid_summaries[t]).verdict == "FAIL"
 
     def test_case4_weight_cap_is_computed(self):
+        # a's range widens past the cap to the weight a needs
         tag, params = classify(1, 4, 4, 2)
-        system = build_system(tag, params)
-        assert _weight_needed(system.rule_pairs(), "a") == 12
+        schema = build_system(tag, params)
+        for max_weight in (1, 8):
+            assert rk.find_termination_order(schema, max_weight).weights["a"] == 12
         summary = certify_family_system(tag, params)
         assert summary.certification == rk.Certification.COMPLETE
 

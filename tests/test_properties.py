@@ -18,7 +18,6 @@ from rewritekit.rewrite import (
     Rule,
     RewritingSystem,
     _reduce,
-    _weight_needed,
     compare,
     find_termination_order,
     format_presentation_file,
@@ -30,7 +29,7 @@ from rewritekit.rewrite import (
     verify_termination,
 )
 from rewritekit.words import Alphabet, _shortlex_words, parse_word, print_word
-from tests.conftest import reference_order_scan
+from tests.conftest import reference_order_scan, weight_needed
 
 LETTER_SETS = ("ab", "abx", "pqrs")
 
@@ -220,4 +219,4 @@ def test_found_orders_certify_termination(system, max_weight):
         assert verify_termination(system, order).certified
         pairs = system.rule_pairs()
         for letter, weight in order.weights.items():
-            assert weight <= max(max_weight, _weight_needed(pairs, letter))
+            assert weight <= max(max_weight, weight_needed(pairs, letter))

@@ -215,6 +215,12 @@ class TestFindTerminationOrder:
         for t, s in _grid_schemas():
             assert find_termination_order(s) == reference_order_scan(s, MAX_WEIGHT), t
 
+    def test_grid_orders_do_not_depend_on_the_cap(self):
+        # each letter's range widens to the weight it needs, and those
+        # widened ranges, not max_weight, decide every schema's order
+        for t, s in _grid_schemas():
+            assert find_termination_order(s, 1) == find_termination_order(s, 8), t
+
     def test_large_weight_cap_returns(self):
         # up to 1000^3 vectors per precedence: only a pruned search gets through
         for t, s in _grid_schemas():
