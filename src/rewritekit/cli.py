@@ -55,8 +55,15 @@ def _witness(witness) -> dict:
     return {key: _word(w) for key, w in asdict(witness).items()}
 
 
-def _report(args, budgets: dict, **fields) -> str:
-    """The JSON report envelope shared by every command."""
+# The options a JSON report records as its budgets, by argparse dest
+BUDGETS = ("fuel", "max_weight", "oracle_nodes", "max_rules", "max_steps", "bound", "slack",
+           "surjective_bound", "noninjective_bound")
+
+
+def _report(args, **fields) -> str:
+    """The JSON report envelope shared by every command; its budgets are
+    the values of each BUDGETS option that the command takes."""
+    budgets = {dest: value for dest, value in vars(args).items() if dest in BUDGETS}
     return json.dumps({"schema": SCHEMA_VERSION, "command": args.command,
                        "budgets": budgets, **fields}, sort_keys=True, indent=2)
 
@@ -100,7 +107,7 @@ def _equivalence(args, params, system: RewritingSystem) -> family.EquivalenceRep
     x_def = family.x_definition(params) if family.AUX_LETTER in system.alphabet else None
     return family.verify_presentation_equivalence(
         family.one_relator_presentation(params), system, x_def,
-        node_budget=args.nodes, fuel=args.fuel)
+        node_budget=args.oracle_nodes, fuel=args.fuel)
 
 
 def _verdict(*verdicts: str) -> str:
@@ -109,13 +116,13 @@ def _verdict(*verdicts: str) -> str:
     return next((v for v in ("FAIL", "inconclusive") if v in verdicts), "PASS")
 
 
-def _finish(args, budgets: dict, fields: dict, lines: list, notes=(),
+def _finish(args, fields: dict, lines: list, notes=(),
             failed: bool = False) -> int:
     """How every command ends: its JSON report under ``--json``, else its
     text lines, on stdout; one ``budget exhausted:`` line per note on
     stderr; and the exit code, check failure over budget exhaustion over
     success."""
-    print(_report(args, budgets, **fields) if args.json else "\n".join(lines))
+    print(_report(args, **fields) if args.json else "\n".join(lines))
     for note in notes:
         print(f"budget exhausted: {note}", file=sys.stderr)
     if failed:
@@ -152,11 +159,9 @@ def cmd_build(args) -> int:
         lines.append(f"verification: {verdict}")
     if args.out:
         Path(args.out).write_text(rewrite.format_system_file(system))
-    notes = ([f"the {args.nodes}-node budget left the equivalence check inconclusive"]
+    notes = ([f"the {args.oracle_nodes}-node budget left the equivalence check inconclusive"]
              if verdict == "inconclusive" else [])
-    return _finish(args, {"fuel": args.fuel, "max_weight": args.max_weight,
-                          "oracle_nodes": args.nodes}, {"result": result},
-                   lines, notes, failed=verdict == "FAIL")
+    return _finish(args, {"result": result}, lines, notes, failed=verdict == "FAIL")
 
 
 def cmd_grid(args) -> int:
@@ -198,7 +203,7 @@ def cmd_grid(args) -> int:
             undecided.append(exponents)
         if "probe" in checks:
             pres = (family.extended_presentation(params)
-                    if tag.variant in (family.Case.CASE3, family.Case.CASE4)
+                    if family.AUX_LETTER in system.alphabet
                     else family.one_relator_presentation(params))
             report = confluence.knuth_bendix(
                 pres, family.probe_order(pres.alphabet),
@@ -211,7 +216,7 @@ def cmd_grid(args) -> int:
         if "dehn" in checks:
             table = analysis.dehn_table(
                 family.one_relator_presentation(params), args.dehn_n,
-                node_budget=args.nodes)
+                node_budget=args.oracle_nodes)
             row["dehn"] = [[s.n, s.dehn, s.space] for s in table]
             if any(s.truncated for s in table):
                 truncated.append(exponents)
@@ -226,19 +231,17 @@ def cmd_grid(args) -> int:
         fields.append(f"{time.perf_counter() - t0:.2f}s")
         lines.append("  ".join(fields))
     lines.append(f"{len(rows)} tuples; hard failure: {hard_failure}")
-    budgets = {"fuel": args.fuel, "max_weight": args.max_weight, "oracle_nodes": args.nodes,
-               "max_rules": args.max_rules, "max_steps": args.max_steps}
     report_fields = {"checks": checks, "rows": rows}
     if args.out:
-        Path(args.out).write_text(_report(args, budgets, **report_fields) + "\n")
+        Path(args.out).write_text(_report(args, **report_fields) + "\n")
     notes = []
     if truncated:
-        notes.append(f"the {args.nodes}-node budget truncated the Dehn table of "
+        notes.append(f"the {args.oracle_nodes}-node budget truncated the Dehn table of "
                      f"{', '.join(map(str, truncated))}")
     if undecided:
-        notes.append(f"the {args.nodes}-node budget left the equivalence check of "
+        notes.append(f"the {args.oracle_nodes}-node budget left the equivalence check of "
                      f"{', '.join(map(str, undecided))} inconclusive")
-    return _finish(args, budgets, report_fields, lines, notes, failed=hard_failure)
+    return _finish(args, report_fields, lines, notes, failed=hard_failure)
 
 
 def cmd_complete(args) -> int:
@@ -260,18 +263,15 @@ def cmd_complete(args) -> int:
              f"stats: {report.stats}"]
     notes = [] if report.completed else [
         f"the {args.max_rules}-rule or {args.max_steps}-step limit stopped completion"]
-    return _finish(args, {"max_rules": args.max_rules, "max_steps": args.max_steps,
-                          "fuel": args.fuel},
-                   {"order": str(order), "result": result}, lines, notes)
+    return _finish(args, {"order": str(order), "result": result}, lines, notes)
 
 
 def cmd_nf(args) -> int:
     system = rewrite.parse_system_file(Path(args.system).read_text())
     w = parse_word(args.word, system.alphabet)
     nf, trace = rewrite.normal_form(system, w, fuel=args.fuel)
-    return _finish(args, {"fuel": args.fuel},
-                   {"result": {"word": _word(w), "normal_form": _word(nf),
-                               "steps": len(trace.steps)}},
+    return _finish(args, {"result": {"word": _word(w), "normal_form": _word(nf),
+                                     "steps": len(trace.steps)}},
                    [_word(nf)])
 
 
@@ -279,15 +279,14 @@ def cmd_equal(args) -> int:
     pres = _read_presentation(args.presentation)
     u = parse_word(args.u, pres.alphabet)
     v = parse_word(args.v, pres.alphabet)
-    bound = args.bound or max(len(u), len(v)) + analysis.default_slack(pres)
-    outcome = analysis.equal_in_monoid(pres, u, v, bound, node_budget=args.nodes,
+    args.bound = args.bound or max(len(u), len(v)) + analysis.default_slack(pres)
+    outcome = analysis.equal_in_monoid(pres, u, v, args.bound, node_budget=args.oracle_nodes,
                                        minimize="space" if args.space else "steps")
     c = outcome.certificate
     line = f"equal (d={c.d}, s={c.s})" if outcome.status == "equal" else outcome.status
-    notes = ([f"the {args.nodes}-node budget left the query inconclusive"]
+    notes = ([f"the {args.oracle_nodes}-node budget left the query inconclusive"]
              if outcome.status == "inconclusive" else [])
-    return _finish(args, {"bound": bound, "oracle_nodes": args.nodes},
-                   {"result": {"status": outcome.status, "certificate": _certificate(c)}},
+    return _finish(args, {"result": {"status": outcome.status, "certificate": _certificate(c)}},
                    [line], notes)
 
 
@@ -303,17 +302,19 @@ def cmd_dehn(args) -> int:
         except ValueError:
             raise bad_mode from None
     table = analysis.dehn_table(pres, args.n, sample_count=count,
-                                slack=args.slack, node_budget=args.nodes,
+                                slack=args.slack, node_budget=args.oracle_nodes,
                                 seed=args.seed)
     rows = [{"n": s.n, "dehn": s.dehn, "space": s.space,
              "pairs": s.pairs_examined, "exhaustive": s.exhaustive} for s in table]
     lines = [f"{'n':>3} {'dehn':>5} {'space':>6} {'pairs':>8}  exhaustive"]
     lines += [f"{s.n:>3} {s.dehn:>5} {s.space:>6} {s.pairs_examined:>8}  {s.exhaustive}"
               for s in table]
-    notes = ([f"the {args.nodes}-node budget truncated the table "
+    notes = ([f"the {args.oracle_nodes}-node budget truncated the table "
               "(rows marked exhaustive False)"] if any(s.truncated for s in table) else [])
-    return _finish(args, {"oracle_nodes": args.nodes, "slack": args.slack},
-                   {"mode": args.mode, "rows": rows}, lines, notes)
+    fields = {"mode": args.mode, "rows": rows}
+    if count is not None:  # random mode draws its words with the seed
+        fields["seed"] = args.seed
+    return _finish(args, fields, lines, notes)
 
 
 def cmd_endo(args) -> int:
@@ -344,10 +345,7 @@ def cmd_endo(args) -> int:
                                                   fuel=args.fuel)
         result["witness"] = None if witness is None else _witness(witness)
         lines.append(f"  injectivity witness: {result['witness']}")
-    return _finish(args, {"fuel": args.fuel, "max_weight": args.max_weight,
-                          "surjective_bound": args.surjective_bound,
-                          "noninjective_bound": args.noninjective_bound},
-                   {"params": list(args.params), "result": result}, lines)
+    return _finish(args, {"params": list(args.params), "result": result}, lines)
 
 
 def cmd_hopf_demo(args) -> int:
@@ -379,7 +377,7 @@ def cmd_hopf_demo(args) -> int:
              f"(normal forms {witness['u_normal_form']} vs {witness['v_normal_form']}; "
              f"images both {witness['image_normal_form']})",
              report.conclusion]
-    return _finish(args, {"fuel": args.fuel}, {"result": result}, lines)
+    return _finish(args, {"result": result}, lines)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--fuel", type=positive_int, default=rewrite.DEFAULT_FUEL,
                            help="max rewrite steps per reduction (default %(default)s)")
         if nodes:  # what the node budget caps
-            p.add_argument("--nodes", type=positive_int,
+            p.add_argument("--nodes", type=positive_int, dest="oracle_nodes", metavar="NODES",
                            default=analysis.DEFAULT_NODE_BUDGET,
                            help=f"{nodes} (default %(default)s)")
 

@@ -181,12 +181,19 @@ def probe_order(alpha: Alphabet) -> ReductionOrder:
 
 
 @dataclass(frozen=True)
-class RuleEquivalence:
+class IdentityCheck:
+    """One oracle check that ``lhs`` equals ``rhs``, the rule at
+    ``rule_index`` of the constructed system; ``name`` is the Case4
+    identity's name, None in a presentation-equivalence check."""
+
     rule_index: int
+    name: Optional[str]
+    lhs: Word
+    rhs: Word
     status: str  # "equal" | "unequal-within-bound" | "inconclusive"
-    d: Optional[int] = None
-    s: Optional[int] = None
-    certificate: Optional["analysis.EqualityCertificate"] = None
+    d: Optional[int]
+    s: Optional[int]
+    certificate: Optional["analysis.EqualityCertificate"]
 
 
 @dataclass(frozen=True)
@@ -194,7 +201,7 @@ class EquivalenceReport:
     """``verdict``: FAIL if the relator's sides differ in normal form or a rule is
     unequal-within-bound, else inconclusive if the budget left a rule undecided, else PASS."""
 
-    rule_results: tuple[RuleEquivalence, ...]
+    rule_results: tuple[IdentityCheck, ...]
     relator_normal_forms_match: bool
     relator_normal_form: Word
 
@@ -206,10 +213,10 @@ class EquivalenceReport:
         return "inconclusive" if "inconclusive" in statuses else "PASS"
 
 
-def _oracle_with_deepening(presentation: Presentation, lhs: Word, rhs: Word,
-                           node_budget: int) -> analysis.EqualityOutcome:
-    """Run the equality oracle at the default bound, deepening it twice by
-    half the default slack (the longest side) if needed."""
+def _oracle_with_deepening(presentation: Presentation, rule_index: int, name: Optional[str],
+                           lhs: Word, rhs: Word, node_budget: int) -> IdentityCheck:
+    """Check ``lhs`` = ``rhs`` with the equality oracle at the default bound,
+    deepening it twice by half the default slack (the longest side) if needed."""
     slack = analysis.default_slack(presentation)
     base = max(len(lhs), len(rhs)) + slack
     for attempt in range(3):
@@ -218,7 +225,9 @@ def _oracle_with_deepening(presentation: Presentation, lhs: Word, rhs: Word,
                                            node_budget=node_budget)
         if outcome.status == "equal":
             break
-    return outcome
+    cert = outcome.certificate
+    d, s = (cert.d, cert.s) if cert else (None, None)
+    return IdentityCheck(rule_index, name, lhs, rhs, outcome.status, d, s, cert)
 
 
 def verify_presentation_equivalence(original: Presentation,
@@ -235,35 +244,18 @@ def verify_presentation_equivalence(original: Presentation,
     """
     if AUX_LETTER in constructed.alphabet and x_def is None:
         raise ValueError("constructed system uses x; its definition is required")
-    results = []
-    for idx, rule in enumerate(constructed.rules):
-        lhs, rhs = rule.lhs, rule.rhs
-        if x_def:
-            lhs, rhs = lhs.replace(AUX_LETTER, x_def), rhs.replace(AUX_LETTER, x_def)
-        outcome = _oracle_with_deepening(original, lhs, rhs, node_budget)
-        cert = outcome.certificate
-        results.append(RuleEquivalence(idx, outcome.status,
-                                       d=cert.d if cert else None,
-                                       s=cert.s if cert else None,
-                                       certificate=cert))
+    x = x_def or AUX_LETTER  # without a definition no rule holds x
+    results = tuple(_oracle_with_deepening(original, i, None, rule.lhs.replace(AUX_LETTER, x),
+                                           rule.rhs.replace(AUX_LETTER, x), node_budget)
+                    for i, rule in enumerate(constructed.rules))
     pairs = constructed.rule_pairs()
     nf_sides = [_reduce(pairs, side, fuel) for side in original.equations[0]]
-    return EquivalenceReport(tuple(results), nf_sides[0] == nf_sides[1], nf_sides[0])
-
-
-@dataclass(frozen=True)
-class ChainIdentity:
-    name: str
-    lhs: Word
-    rhs: Word
-    status: str
-    d: Optional[int] = None
-    s: Optional[int] = None
+    return EquivalenceReport(results, nf_sides[0] == nf_sides[1], nf_sides[0])
 
 
 @dataclass(frozen=True)
 class ChainReport:
-    identities: tuple[ChainIdentity, ...]
+    identities: tuple[IdentityCheck, ...]
 
     @property
     def passed(self) -> bool:
@@ -274,22 +266,19 @@ def check_derivation_chain(params: FamilyParams) -> ChainReport:
     """Replay the identities behind the k>=2 construction over
     <a,b,x | relator = b, a^(pk) b^s = x>: one per rule that
     :func:`build_system` ships, so the chain checks exactly those rules.
-    Each identity gets the oracle at the default node budget.
+    Each identity gets the oracle at the default node budget, and keeps
+    its certificate.
     """
     tag, _ = classify(params.alpha, params.beta, params.gamma, params.delta)
     if tag.variant != Case.CASE4:
         raise ValueError("derivation chain is defined for Case4 parameters only")
     pres = extended_presentation(params)
-    out = []
-    for name, rule in zip(CASE4_IDENTITY_NAMES, build_system(tag, params).rules):
-        # expand-b is derived as b = ..., the rule read right to left
-        lhs, rhs = (rule.rhs, rule.lhs) if name == "expand-b" else (rule.lhs, rule.rhs)
-        outcome = _oracle_with_deepening(pres, lhs, rhs, analysis.DEFAULT_NODE_BUDGET)
-        cert = outcome.certificate
-        out.append(ChainIdentity(name, lhs, rhs, outcome.status,
-                                 d=cert.d if cert else None,
-                                 s=cert.s if cert else None))
-    return ChainReport(tuple(out))
+    # expand-b is derived as b = ..., the rule read right to left
+    return ChainReport(tuple(
+        _oracle_with_deepening(pres, i, name, *(pair[::-1] if name == "expand-b" else pair),
+                               analysis.DEFAULT_NODE_BUDGET)
+        for i, (name, pair) in enumerate(zip(CASE4_IDENTITY_NAMES,
+                                             build_system(tag, params).rule_pairs()))))
 
 
 @dataclass(frozen=True)

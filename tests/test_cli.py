@@ -10,6 +10,7 @@ from rewritekit.family import certify_family_system
 from rewritekit.rewrite import find_termination_order
 
 DEMO_PRESENTATION = "letters: a b\nab^2a^2b^2 = b\n"
+PRES, SYSTEM = "{pres}", "{system}"  # stand for the demo files in an argv
 
 
 @pytest.fixture()
@@ -423,6 +424,33 @@ class TestReproducibility:
             payload = json.loads(first)
             assert payload["schema"] == 1
             assert "budgets" in payload
+
+    # every budget each command takes, at a value no golden uses
+    @pytest.mark.parametrize("argv, budgets", [
+        (["build", "--params", "1", "2", "2", "2", "--fuel", "777", "--max-weight", "5",
+          "--nodes", "5000"], {"fuel": 777, "max_weight": 5, "oracle_nodes": 5000}),
+        (["grid", "--range", "1..1", "--fuel", "777", "--max-weight", "5", "--nodes", "5000",
+          "--max-rules", "60", "--max-steps", "900"],
+         {"fuel": 777, "max_weight": 5, "oracle_nodes": 5000, "max_rules": 60,
+          "max_steps": 900}),
+        (["complete", "--presentation", PRES, "--order", "weights: a=1 b=1; precedence: b>a",
+          "--max-rules", "60", "--max-steps", "900", "--fuel", "777"],
+         {"max_rules": 60, "max_steps": 900, "fuel": 777}),
+        (["nf", "--system", SYSTEM, "abba", "--fuel", "777"], {"fuel": 777}),
+        (["equal", "--presentation", PRES, "abbab", "baabb", "--bound", "40",
+          "--nodes", "5000"], {"bound": 40, "oracle_nodes": 5000}),
+        (["dehn", "--presentation", PRES, "--n", "3", "--slack", "9", "--nodes", "5000"],
+         {"oracle_nodes": 5000, "slack": 9}),
+        (["endo", "--params", "1", "2", "2", "2", "--map", "a=a,b=bab", "--fuel", "777",
+          "--max-weight", "5", "--surjective-bound", "2", "--noninjective-bound", "4"],
+         {"fuel": 777, "max_weight": 5, "surjective_bound": 2, "noninjective_bound": 4}),
+        (["hopf-demo", "--fuel", "7777"], {"fuel": 7777}),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_every_budget_is_echoed(self, argv, budgets, pres_file, system_file, capsys):
+        files = {PRES: pres_file, SYSTEM: system_file}
+        capsys.readouterr()
+        assert cli.main([files.get(a, a) for a in argv] + ["--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["budgets"] == budgets
 
 
 def _default(func, name):

@@ -1,9 +1,12 @@
-"""Static scans of the source, by stdlib ``ast`` since neither pyflakes nor
-ruff is a dependency: no module imports a name it never uses, and no
-module-level name of the package is left without a user."""
+"""Static scans of the source, by stdlib ``ast`` and ``tokenize`` since
+neither pyflakes nor ruff is a dependency: no module imports a name it
+never uses, and no module-level name of the package is left without a
+user."""
 
 import ast
+import io
 import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -30,12 +33,28 @@ def test_no_unused_imports():
     assert not unused, "unused imports:\n" + "\n".join(unused)
 
 
+def _used_words(text: str):
+    """The words of a module's code and string literals; a comment or a
+    docstring that names something is not a use of it."""
+    docstrings = {(n.body[0].lineno, n.body[0].col_offset) for n in ast.walk(ast.parse(text))
+                  if isinstance(n, (ast.Module, ast.ClassDef, ast.FunctionDef,
+                                    ast.AsyncFunctionDef))
+                  and n.body and isinstance(n.body[0], ast.Expr)
+                  and isinstance(n.body[0].value, ast.Constant)
+                  and isinstance(n.body[0].value.value, str)}
+    for token in tokenize.generate_tokens(io.StringIO(text).readline):
+        if token.type != tokenize.COMMENT and not (token.type == tokenize.STRING
+                                                   and token.start in docstrings):
+            yield from re.findall(r"\w+", token.string)
+
+
 def test_no_dead_names():
     # a module-level function, class or constant of the package (dunder
-    # names exempt) whose name occurs, as a whole word, nowhere in the .py
-    # files of src/, tests/ or bench/ but at its definition
+    # names exempt) whose name occurs, as a whole word, nowhere in the code
+    # or string literals of the .py files of src/, tests/ or bench/ but at
+    # its definition
     words = Counter(word for d in ("src", "tests", "bench") for p in (ROOT / d).rglob("*.py")
-                    for word in re.findall(r"\w+", p.read_text()))
+                    for word in _used_words(p.read_text()))
     dead = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:

@@ -173,6 +173,20 @@ class TestDerivationChain:
         assert report.passed
         assert any(i.name == "extra" for i in report.identities)
 
+    def test_case4_certificates_replay(self):
+        # each identity keeps the oracle's certificate, from its lhs to its rhs
+        tuples = [t for t in GRID if classify(*t)[0].variant == Case.CASE4]
+        assert len(tuples) == 24
+        for t in tuples:
+            params = classify(*t)[1]
+            pres = extended_presentation(params)
+            for ident in check_derivation_chain(params).identities:
+                cert = ident.certificate
+                assert ident.status == "equal", (t, ident.name)
+                assert cert.replay(pres), (t, ident.name)
+                assert (cert.chain[0], cert.chain[-1]) == (ident.lhs, ident.rhs)
+                assert (cert.d, cert.s) == (ident.d, ident.s)
+
     def test_rejected_outside_case4(self):
         _, params = classify(1, 1, 1, 1)
         with pytest.raises(ValueError):
