@@ -56,7 +56,7 @@ def _witness(witness) -> dict:
 
 
 # The options a JSON report records as its budgets, by argparse dest
-BUDGETS = ("fuel", "max_weight", "oracle_nodes", "max_rules", "max_steps", "bound", "slack",
+BUDGETS = ("fuel", "oracle_nodes", "max_rules", "max_steps", "bound", "slack",
            "surjective_bound", "noninjective_bound")
 
 
@@ -99,8 +99,7 @@ def _read_presentation(path: str) -> rewrite.Presentation:
 
 def _certify(args, exponents) -> family.CertificationSummary:
     tag, params = family.classify(*exponents)
-    return family.certify_family_system(tag, params, max_weight=args.max_weight,
-                                        fuel=args.fuel)
+    return family.certify_family_system(tag, params, fuel=args.fuel)
 
 
 def _equivalence(args, params, system: RewritingSystem) -> family.EquivalenceReport:
@@ -119,10 +118,14 @@ def _verdict(*verdicts: str) -> str:
 def _finish(args, fields: dict, lines: list, notes=(),
             failed: bool = False) -> int:
     """How every command ends: its JSON report under ``--json``, else its
-    text lines, on stdout; one ``budget exhausted:`` line per note on
-    stderr; and the exit code, check failure over budget exhaustion over
-    success."""
-    print(_report(args, **fields) if args.json else "\n".join(lines))
+    text lines, on stdout, and the same JSON report in ``grid --out``'s
+    file; one ``budget exhausted:`` line per note on stderr; and the exit
+    code, check failure over budget exhaustion over success."""
+    report_out = getattr(args, "report_out", None)
+    report = _report(args, **fields) if args.json or report_out else None
+    if report_out:
+        Path(report_out).write_text(report + "\n")
+    print(report if args.json else "\n".join(lines))
     for note in notes:
         print(f"budget exhausted: {note}", file=sys.stderr)
     if failed:
@@ -231,9 +234,6 @@ def cmd_grid(args) -> int:
         fields.append(f"{time.perf_counter() - t0:.2f}s")
         lines.append("  ".join(fields))
     lines.append(f"{len(rows)} tuples; hard failure: {hard_failure}")
-    report_fields = {"checks": checks, "rows": rows}
-    if args.out:
-        Path(args.out).write_text(_report(args, **report_fields) + "\n")
     notes = []
     if truncated:
         notes.append(f"the {args.oracle_nodes}-node budget truncated the Dehn table of "
@@ -241,7 +241,7 @@ def cmd_grid(args) -> int:
     if undecided:
         notes.append(f"the {args.oracle_nodes}-node budget left the equivalence check of "
                      f"{', '.join(map(str, undecided))} inconclusive")
-    return _finish(args, report_fields, lines, notes, failed=hard_failure)
+    return _finish(args, {"checks": checks, "rows": rows}, lines, notes, failed=hard_failure)
 
 
 def cmd_complete(args) -> int:
@@ -388,11 +388,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "and endomorphism analysis.")
     sub = parser.add_subparsers(dest="command")
 
-    def add_common(p, func, fuel=True, nodes=None, certify=False):
+    def add_common(p, func, fuel=True, nodes=None):
         p.set_defaults(func=func)
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        if certify:  # what _certify reads besides --fuel
-            p.add_argument("--max-weight", type=positive_int, default=rewrite.MAX_WEIGHT)
         if fuel:
             p.add_argument("--fuel", type=positive_int, default=rewrite.DEFAULT_FUEL,
                            help="max rewrite steps per reduction (default %(default)s)")
@@ -407,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--verify", action="store_true",
                    help="certify and check presentation equivalence")
     p.add_argument("--out", help="write the system file here")
-    add_common(p, cmd_build, nodes="oracle node budget", certify=True)
+    add_common(p, cmd_build, nodes="oracle node budget")
 
     p = sub.add_parser("grid", help="run checks over an exponent grid")
     p.add_argument("--range", default="1..4", help="range for all exponents (default %(default)s)")
@@ -418,8 +416,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-rules", type=positive_int, default=confluence.MAX_RULES)
     p.add_argument("--max-steps", type=positive_int, default=confluence.MAX_STEPS)
     p.add_argument("--dehn-n", type=positive_int, default=4)
-    p.add_argument("--out", help="write the --json report here")
-    add_common(p, cmd_grid, certify=True,
+    p.add_argument("--out", dest="report_out", help="write the --json report here")
+    add_common(p, cmd_grid,
                nodes="node budget of each oracle search and of each Dehn "
                      "table's normal-form class graph")
 
@@ -463,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map", required=True, help='e.g. "a=a,b=bab"')
     p.add_argument("--surjective-bound", type=positive_int, default=3)
     p.add_argument("--noninjective-bound", type=positive_int)
-    add_common(p, cmd_endo, certify=True)
+    add_common(p, cmd_endo)
 
     add_common(sub.add_parser("hopf-demo", help="the full non-hopfian demonstration"),
                cmd_hopf_demo)

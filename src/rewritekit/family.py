@@ -19,7 +19,6 @@ from . import analysis
 from .confluence import certify
 from .rewrite import (
     DEFAULT_FUEL,
-    MAX_WEIGHT,
     Certification,
     FuelExhausted,
     Presentation,
@@ -339,7 +338,6 @@ def empirical_termination_probe(system: RewritingSystem) -> EmpiricalTermination
 
 
 def certify_family_system(tag: CaseTag, params: FamilyParams,
-                          max_weight: int = MAX_WEIGHT,
                           fuel: int = DEFAULT_FUEL) -> CertificationSummary:
     """Certify a constructed system as far as the case allows.
 
@@ -353,7 +351,7 @@ def certify_family_system(tag: CaseTag, params: FamilyParams,
     if tag.variant == Case.CASE2:
         empirical = empirical_termination_probe(system)
     else:
-        order = find_termination_order(system, max_weight)
+        order = find_termination_order(system)
     system = certify(system, order, fuel)
     locally_confluent = system.certification in (Certification.LOCALLY_CONFLUENT,
                                                   Certification.COMPLETE)

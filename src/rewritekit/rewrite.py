@@ -114,7 +114,7 @@ def parse_order(text: str) -> ReductionOrder:
         wpart, ppart = text.split(";")
         items = [item.split("=") for item in wpart.split(":", 1)[1].split()]
         weights = {letter: int(value) for letter, value in items}
-        precedence = tuple(ppart.split(":", 1)[1].strip().split(">"))
+        precedence = tuple(c.strip() for c in ppart.split(":", 1)[1].split(">"))
     except (ValueError, IndexError) as exc:
         raise ValueError(f"bad order syntax: {text!r}") from exc
     if len(weights) < len(items):

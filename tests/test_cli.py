@@ -6,8 +6,6 @@ import pytest
 
 from rewritekit import cli
 from rewritekit.confluence import knuth_bendix
-from rewritekit.family import certify_family_system
-from rewritekit.rewrite import find_termination_order
 
 DEMO_PRESENTATION = "letters: a b\nab^2a^2b^2 = b\n"
 PRES, SYSTEM = "{pres}", "{system}"  # stand for the demo files in an argv
@@ -74,6 +72,11 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_order_precedence_allows_spaces_but_no_empty_letter(self, pres_file, capsys):
+        argv = ["complete", "--presentation", pres_file, "--order"]
+        assert cli.main(argv + ["weights: a=1 b=1; precedence: b > a"]) == 0
+        assert cli.main(argv + ["weights: a=1 b=1; precedence: b>a>"]) == 2
+
     @pytest.mark.parametrize("argv, message", [
         (["endo", "--params", "1", "2", "2", "2", "--map", "a=a,b=bab,b=abb"],
          "letter 'b' has two images"),
@@ -88,7 +91,6 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["build", "--params", "1", "2", "2", "2", "--nodes", "0"],
         ["build", "--params", "1", "2", "2", "2", "--fuel", "0"],
-        ["build", "--params", "1", "2", "2", "2", "--max-weight", "0"],
         ["grid", "--max-rules", "0"],
         ["grid", "--max-steps", "-1"],
         ["grid", "--dehn-n", "0"],
@@ -395,13 +397,23 @@ class TestCommands:
         rules = json.loads(capsys.readouterr().out)["result"]["system"]["rules"]
         assert rules == [{"lhs": "ab", "rhs": "1"}]
 
-    def test_grid_out_writes_the_json_report(self, tmp_path, capsys):
+    def test_grid_out_writes_the_json_report(self, tmp_path, monkeypatch, capsys):
+        # the report is serialized once, for the file and stdout alike
+        calls = []
+        report = cli._report
+
+        def counted(*args, **fields):
+            calls.append(fields)
+            return report(*args, **fields)
+
+        monkeypatch.setattr(cli, "_report", counted)
         out_path = tmp_path / "grid.json"
         assert cli.main(["grid", "--range", "1..1", "--json",
                          "--out", str(out_path)]) == 0
         printed = capsys.readouterr().out
         assert out_path.read_text() == printed
         assert "budgets" in json.loads(printed)
+        assert len(calls) == 1
 
 
 class TestReproducibility:
@@ -427,12 +439,11 @@ class TestReproducibility:
 
     # every budget each command takes, at a value no golden uses
     @pytest.mark.parametrize("argv, budgets", [
-        (["build", "--params", "1", "2", "2", "2", "--fuel", "777", "--max-weight", "5",
-          "--nodes", "5000"], {"fuel": 777, "max_weight": 5, "oracle_nodes": 5000}),
-        (["grid", "--range", "1..1", "--fuel", "777", "--max-weight", "5", "--nodes", "5000",
+        (["build", "--params", "1", "2", "2", "2", "--fuel", "777", "--nodes", "5000"],
+         {"fuel": 777, "oracle_nodes": 5000}),
+        (["grid", "--range", "1..1", "--fuel", "777", "--nodes", "5000",
           "--max-rules", "60", "--max-steps", "900"],
-         {"fuel": 777, "max_weight": 5, "oracle_nodes": 5000, "max_rules": 60,
-          "max_steps": 900}),
+         {"fuel": 777, "oracle_nodes": 5000, "max_rules": 60, "max_steps": 900}),
         (["complete", "--presentation", PRES, "--order", "weights: a=1 b=1; precedence: b>a",
           "--max-rules", "60", "--max-steps", "900", "--fuel", "777"],
          {"max_rules": 60, "max_steps": 900, "fuel": 777}),
@@ -442,8 +453,8 @@ class TestReproducibility:
         (["dehn", "--presentation", PRES, "--n", "3", "--slack", "9", "--nodes", "5000"],
          {"oracle_nodes": 5000, "slack": 9}),
         (["endo", "--params", "1", "2", "2", "2", "--map", "a=a,b=bab", "--fuel", "777",
-          "--max-weight", "5", "--surjective-bound", "2", "--noninjective-bound", "4"],
-         {"fuel": 777, "max_weight": 5, "surjective_bound": 2, "noninjective_bound": 4}),
+          "--surjective-bound", "2", "--noninjective-bound", "4"],
+         {"fuel": 777, "surjective_bound": 2, "noninjective_bound": 4}),
         (["hopf-demo", "--fuel", "7777"], {"fuel": 7777}),
     ], ids=lambda v: v[0] if isinstance(v, list) else None)
     def test_every_budget_is_echoed(self, argv, budgets, pres_file, system_file, capsys):
@@ -465,13 +476,3 @@ class TestDefaults:
         args = cli.build_parser().parse_args(argv)
         assert (args.max_rules, args.max_steps) == (_default(knuth_bendix, "max_rules"),
                                                     _default(knuth_bendix, "max_steps"))
-
-    @pytest.mark.parametrize("argv", [
-        ["build", "--params", "1", "2", "2", "2"],
-        ["grid"],
-        ["endo", "--params", "1", "2", "2", "2", "--map", "a=a,b=bab"],
-    ])
-    def test_weight_cap(self, argv):
-        args = cli.build_parser().parse_args(argv)
-        assert args.max_weight == _default(find_termination_order, "max_weight")
-        assert args.max_weight == _default(certify_family_system, "max_weight")

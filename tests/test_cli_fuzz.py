@@ -51,7 +51,7 @@ def _flag(name):
     return st.sampled_from(([], [name]))
 
 
-def _budgets(nodes=False, fuel=True, weight=False):
+def _budgets(nodes=False, fuel=True):
     """The budget options a command takes; node and fuel budgets are always
     given, since their defaults allow long searches."""
     parts = [_flag("--json")]
@@ -59,8 +59,6 @@ def _budgets(nodes=False, fuel=True, weight=False):
         parts.append(_option("--nodes", (1, 10, 1000), (0,), optional=False))
     if fuel:
         parts.append(_option("--fuel", (1, 50, 1000), (-3,), optional=False))
-    if weight:
-        parts.append(_option("--max-weight", (1, 2, 3), (0,)))
     return parts
 
 
@@ -75,14 +73,14 @@ def _argv(files):
     ranges = (("1..2", "1", "2"), ("0..1", "2..1", "x", "1..2..3"))
     commands = {
         "build": [params.map(lambda p: ["--params", *p]), _flag("--verify"), out,
-                  *_budgets(nodes=True, weight=True)],
+                  *_budgets(nodes=True)],
         "grid": [_option("--range", *ranges, optional=False),
                  *(_option(f"--{name}", *ranges) for name in ("alpha", "beta", "gamma", "delta")),
                  _option("--checks", ("completeness", "equivalence", "probe", "dehn",
                                       "completeness,equivalence,probe,dehn"), ("bogus", "")),
                  _option("--max-rules", (1, 20), (0,)), _option("--max-steps", (1, 50), (-1,)),
                  _option("--dehn-n", (1, 4), (0,)), out,
-                 *_budgets(nodes=True, weight=True)],
+                 *_budgets(nodes=True)],
         "complete": [pres.map(lambda p: ["--presentation", p]),
                      _option("--order", ("weights: a=1 b=1; precedence: a>b",
                                          "weights: a=1 b=2; precedence: b>a"),
@@ -103,7 +101,7 @@ def _argv(files):
                          ("a=a", "a=z,b=b", "garbage", "a=a,b=b,x=a")),
                  _option("--surjective-bound", (1, 3), (0,)),
                  _option("--noninjective-bound", (1, 4), (0,)),
-                 *_budgets(weight=True)],
+                 *_budgets()],
         "hopf-demo": _budgets(),
     }
     stray = st.sampled_from([[]] * 9 + [["--bogus"], ["extra"], ["-h"]])

@@ -4,9 +4,12 @@ The Python block runs as written, and every expression line whose comment
 is a literal must evaluate to that literal.  Every line of the CLI block
 must parse; the lines up to its last ``# -> result`` line also run through
 ``cli.main``, in a directory holding the ``m.pres`` the README shows, and
-each must succeed, with each ``# ->`` line printing its result.
+each must succeed, with each ``# ->`` line printing its result.  Every
+``--flag`` the READMEs name in an inline code span or on a ``rewritekit``
+line is an option of some subcommand.
 """
 
+import argparse
 import ast
 import re
 import shlex
@@ -14,7 +17,8 @@ from pathlib import Path
 
 from rewritekit import cli
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+ROOT = Path(__file__).resolve().parents[1]
+README = (ROOT / "README.md").read_text()
 
 
 def test_python_example_shows_what_it_computes():
@@ -53,3 +57,30 @@ def test_cli_examples_print_what_they_show(tmp_path, monkeypatch, capsys):
             assert out.strip() == expected, command
             checked.append(expected)
     assert checked == ["x^2b", "unequal-within-bound"]
+
+
+def _named_flags(text):
+    """The ``--flags`` on each fenced ``rewritekit`` line and in each inline
+    code span outside the fences; other fenced lines (``pip …``) are not
+    about the CLI."""
+    prose, fenced, in_fence = [], [], False
+    for line in text.splitlines():
+        if line.startswith("```"):
+            in_fence = not in_fence
+        elif not in_fence:
+            prose.append(line)
+        elif line.startswith("rewritekit "):
+            fenced.append(line)
+    code = fenced + re.findall(r"`([^`]+)`", "\n".join(prose))
+    return {flag for span in code for flag in re.findall(r"(?<![\w-])--[a-z][a-z-]*", span)}
+
+
+def test_readmes_name_no_flag_the_cli_lacks():
+    (commands,) = [a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    options = {flag for sub in commands.choices.values()
+               for flag in sub._option_string_actions}
+    for readme in (ROOT / "README.md", ROOT / "docs" / "dehn" / "README.md"):
+        flags = _named_flags(readme.read_text())
+        assert "--json" in flags, readme  # the scan sees the flags
+        assert flags <= options, (readme, sorted(flags - options))

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 
@@ -179,10 +180,10 @@ class TestVerifyTermination:
             normal_form(s, w, fuel=10**6)
 
 
-def _grid_schemas():
-    """(tuple, system) for every tuple of [1..4]^4 whose schema gets an
-    order search, that is every case but Case2."""
-    for t in GRID:
+def _grid_schemas(grid=GRID):
+    """(tuple, system) for every tuple of ``grid`` (default [1..4]^4) whose
+    schema gets an order search, that is every case but Case2."""
+    for t in grid:
         tag, params = rk.classify(*t)
         if tag.variant != rk.Case.CASE2:
             yield t, rk.build_system(tag, params)
@@ -217,9 +218,14 @@ class TestFindTerminationOrder:
 
     def test_grid_orders_do_not_depend_on_the_cap(self):
         # each letter's range widens to the weight it needs, and those
-        # widened ranges, not max_weight, decide every schema's order
-        for t, s in _grid_schemas():
-            assert find_termination_order(s, 1) == find_termination_order(s, 8), t
+        # widened ranges, not max_weight, decide every schema's order over
+        # [1..8]^4: the reason certify_family_system takes no cap
+        schemas = list(_grid_schemas(product(range(1, 9), repeat=4)))
+        assert len(schemas) == 3648
+        for t, s in schemas:
+            order = find_termination_order(s, 1)
+            assert order is not None and order == find_termination_order(s, 8), t
+            assert rk.certify_family_system(*rk.classify(*t)).order == order, t
 
     def test_large_weight_cap_returns(self):
         # up to 1000^3 vectors per precedence: only a pruned search gets through
@@ -238,6 +244,12 @@ class TestSerialization:
     def test_order_round_trip(self):
         order = ReductionOrder({"a": 4, "b": 1, "x": 2}, ("x", "b", "a"))
         assert parse_order(str(order)) == order
+
+    def test_order_precedence_allows_spaces(self):
+        assert (parse_order("weights: a=1 b=1; precedence: b > a")
+                == parse_order("weights: a=1 b=1; precedence: b>a"))
+        with pytest.raises(ValueError):  # an empty letter stays an error
+            parse_order("weights: a=1 b=1; precedence: b>a>")
 
     def test_bad_system_file(self):
         with pytest.raises(ValueError):
