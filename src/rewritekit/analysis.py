@@ -11,6 +11,7 @@ certificate, a definite "not connected within the bound", or an
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 from .confluence import knuth_bendix
@@ -238,36 +239,40 @@ class DehnSample:
     truncated: bool = False  # the node budget cut some class's graph short
 
 
-def _explore(equations, seeds, cap: int, node_budget: int):
-    """The relation graph reachable from ``seeds`` within the length cap.
+def _explore(rules, batch, words: list[Word], id_of: dict[Word, int],
+             adj: list, cap: int, node_budget: int):
+    """Expand the words whose ids are in ``batch``: the one place a class
+    graph grows.
 
-    Returns ``(words, adj, exhausted)``.  Ids are assigned in discovery
-    order, the distinct seeds first (ids 0, 1, ... in seed order), so
-    walking ``words`` by index is a breadth-first search.
-    ``adj[i]`` is a tuple of neighbour ids, one per application in
-    :func:`_neighbors` order (repeats included); every edge is stored at
-    both ends.  Once ``node_budget`` words are known, new words are
-    dropped and ``exhausted`` is False.
+    A word's row is the tuple of its neighbours' ids within the length cap,
+    one per application in :func:`_neighbors` order (repeats included); it
+    is stored as ``adj[i]``, which is None until ``i`` is expanded.  The
+    relation is symmetric, so every edge is stored at both ends once both
+    are expanded.  A neighbour not yet in ``words`` gets the next id, unless
+    ``node_budget`` words are known already: then it is dropped.
+
+    Returns ``(added, rows, whole)``: the range of ids added, the rows
+    built in batch order, and False when a word was dropped.
     """
-    rules = _directed(equations)
-    words = list(dict.fromkeys(seeds))
-    id_of = {w: i for i, w in enumerate(words)}
     get = id_of.get
-    adj: list[tuple[int, ...]] = []
-    exhausted = True
-    for w in words:  # grows while it is walked
+    first = len(words)
+    rows = []
+    whole = True
+    for i in batch:
         row = []
-        for w2 in _neighbors(rules, w, cap):
+        for w2 in _neighbors(rules, words[i], cap):
             j = get(w2)
             if j is None:
                 if len(words) >= node_budget:
-                    exhausted = False
+                    whole = False
                     continue
                 j = id_of[w2] = len(words)
                 words.append(w2)
             row.append(j)
-        adj.append(tuple(row))
-    return words, adj, exhausted
+        adj[i] = row = tuple(row)
+        rows.append(row)
+    adj.extend(repeat(None, len(words) - first))
+    return range(first, len(words)), rows, whole
 
 
 def _pruning_system(presentation: Presentation) -> Optional[RewritingSystem]:
@@ -310,82 +315,120 @@ def _measure_class(equations, seeds, cap: int, node_budget: int, n_max: int,
                    max_d_at: list[int], pairs_at: list[int],
                    space_at: list[int]) -> bool:
     """Add the Dehn, pair and space figures of the graph reachable from
-    ``seeds`` into the per-threshold lists; True when that graph was
-    explored within ``node_budget`` words.  The graph is freed on return.
+    ``seeds`` into the per-threshold lists; True when no word was dropped
+    for ``node_budget``.  The graph grows only as far as the figures need
+    it, and is freed on return.
     """
-    # the seeds are distinct, so they hold ids 0..n_seeds-1
-    words, adj, exhausted = _explore(equations, seeds, cap, node_budget)
-    n_seeds = len(seeds)
-    length = [len(w) for w in words]
-    del words  # only the lengths are needed from here on
-    size = len(length)
+    rules = _directed(equations)
+    words = list(seeds)  # the seeds are distinct, so they hold ids 0..n_seeds-1
+    id_of = {w: i for i, w in enumerate(words)}
+    n_seeds = len(words)
+    adj: list = [None] * n_seeds
+    whole = True
 
-    # space: activate words by ascending length (ids ascending within a
-    # length); an edge becomes usable when its later endpoint activates, so
-    # unioning on activation makes the activation length the exact minimax
-    # requirement for every pair the union newly connects.  min_seed[r] is
-    # the shortest seed length in root r's class (n_max + 1 for none), so
-    # t <= n_max exactly when both sides hold a seed.
-    parent = list(range(size))
-    min_seed = length[:n_seeds] + [n_max + 1] * (size - n_seeds)
-    active = bytearray(size)
+    # space: a union-find search from the seeds, level by level.  Level L
+    # expands every word that words no longer than L join to a seed, and no
+    # other: a word found no longer than the level joins the level's bucket,
+    # which grows while it is walked, and a longer one waits in its own.  An
+    # edge becomes usable when its later endpoint activates, so unioning on
+    # activation makes the level the exact minimax requirement for every
+    # pair the union newly connects.  min_seed[r] is the shortest seed
+    # length in root r's class (n_max + 1 for none), so t <= n_max exactly
+    # when both sides hold a seed; after n_seeds - 1 such unions every seed
+    # shares one component, and the search stops.
+    parent = list(range(n_seeds))
+    min_seed = [len(w) for w in words]
+    no_seed = n_max + 1
+    active = bytearray(n_seeds)
     buckets: list[list[int]] = [[] for _ in range(cap + 1)]
-    for i, L in enumerate(length):
-        buckets[L].append(i)
-    for threshold, bucket in enumerate(buckets):
-        for i in bucket:
-            # i activates as its own root and stays the root of every
-            # class it absorbs
-            active[i] = 1
-            mi = min_seed[i]
-            for j in adj[i]:
-                if not active[j]:
-                    continue
-                while parent[j] != j:  # find, with path halving
-                    parent[j] = j = parent[parent[j]]
-                if j == i:
-                    continue
-                mj = min_seed[j]
-                t = max(mi, mj)
-                if t <= n_max and threshold > space_at[t]:
-                    space_at[t] = threshold
-                parent[j] = i
-                mi = min(mi, mj)
-            min_seed[i] = mi
+    for i, w in enumerate(words):
+        buckets[len(w)].append(i)
+    joins_left = n_seeds - 1
+    for level, bucket in enumerate(buckets):
+        pos = 0
+        while joins_left and pos < len(bucket):
+            batch = bucket[pos:]
+            pos = len(bucket)
+            added, rows, ok = _explore(rules, batch, words, id_of, adj, cap,
+                                       node_budget)
+            whole &= ok
+            parent.extend(added)
+            min_seed.extend(repeat(no_seed, len(added)))
+            active.extend(bytes(len(added)))
+            for j in added:
+                L = len(words[j])
+                buckets[L if L > level else level].append(j)
+            for i, row in zip(batch, rows):
+                # i activates as its own root and stays the root of every
+                # class it absorbs
+                active[i] = 1
+                mi = min_seed[i]
+                for j in row:
+                    if not active[j]:
+                        continue
+                    while parent[j] != j:  # find, with path halving
+                        parent[j] = j = parent[parent[j]]
+                    if j == i:
+                        continue
+                    mj = min_seed[j]
+                    t = max(mi, mj)
+                    if t <= n_max:
+                        joins_left -= 1
+                        if level > space_at[t]:
+                            space_at[t] = level
+                    parent[j] = i
+                    mi = min(mi, mj)
+                min_seed[i] = mi
+                if not joins_left:
+                    break
 
-    # dehn: seeds grouped by final root, ascending ids within each class
+    # dehn: seeds grouped by root, ascending ids within each class
     classes: dict[int, list[int]] = {}
     for u in range(n_seeds):
         r = u
         while parent[r] != r:
             r = parent[r]
         classes.setdefault(r, []).append(u)
+    del parent, min_seed, active, buckets
 
-    dist = [-1] * size
+    # a BFS from each seed, level by level, stopped once it has reached
+    # every later seed of its class.  Neighbours are needed from the first
+    # word walked that is not expanded yet: it is expanded together with
+    # the rest of its level that is not
     for members in classes.values():
         for k, u in enumerate(members[:-1]):
-            lu = length[u]
+            lu = len(words[u])
             todo = len(members) - 1 - k  # later seeds of u's class
-            dist[u] = 0
-            reached = [u]  # the BFS queue, kept to reset dist afterwards
-            head = 0
+            seen = bytearray(len(words))
+            seen[u] = 1
+            level = [u]
+            d = 0
             while todo:
-                i = reached[head]
-                head += 1
-                d = dist[i] + 1
-                for j in adj[i]:
-                    if dist[j] < 0:
-                        dist[j] = d
-                        reached.append(j)
-                        if u < j < n_seeds:
-                            todo -= 1
-                            t = max(lu, length[j])
-                            pairs_at[t] += 1
-                            if d > max_d_at[t]:
-                                max_d_at[t] = d
-            for i in reached:
-                dist[i] = -1
-    return exhausted
+                d += 1
+                found = []
+                for pos, i in enumerate(level):
+                    row = adj[i]
+                    if row is None:
+                        batch = [w for w in level[pos:] if adj[w] is None]
+                        added, _, ok = _explore(rules, batch, words, id_of, adj,
+                                                cap, node_budget)
+                        whole &= ok
+                        seen.extend(bytes(len(added)))
+                        row = adj[i]
+                    for j in row:
+                        if not seen[j]:
+                            seen[j] = 1
+                            found.append(j)
+                            if u < j < n_seeds:
+                                todo -= 1
+                                t = max(lu, len(words[j]))
+                                pairs_at[t] += 1
+                                if d > max_d_at[t]:
+                                    max_d_at[t] = d
+                    if not todo:
+                        break
+                level = found
+    return whole
 
 
 def dehn_table(presentation: Presentation, n_max: int,
@@ -400,23 +443,32 @@ def dehn_table(presentation: Presentation, n_max: int,
     with ``seed``, and those rows are never marked exhaustive.
 
     All rows are read off the relation graph reachable from the seeds
-    within the length cap ``n_max + slack`` (:func:`_explore`; ``slack``
-    defaults to :func:`default_slack`), which makes the measured values
+    within the length cap ``n_max + slack`` (``slack`` defaults to
+    :func:`default_slack`), which makes the measured values
     non-decreasing in n by construction.  A relation application never
     leaves a normal-form class, so that graph is a disjoint union of one
     graph per class: the seeds are grouped by normal form
-    (:func:`_partnered_seeds`), and each group's graph is explored,
-    measured and freed before the next one (:func:`_measure_class`), so
-    only one class's graph is held at a time.  Two passes over each graph
-    give its figures:
+    (:func:`_partnered_seeds`), and each group's graph is grown, measured
+    and freed before the next one (:func:`_measure_class`), so only one
+    class's graph is held at a time.  Two passes give its figures, and a
+    word's neighbours are found (:func:`_explore`) only when one of them
+    first needs them:
 
-    - a union-find sweep that activates words one length bucket at a time
-      gives, for every equal pair, the least length cap under which the
-      pair connects (the space entries, each the max over the classes);
-      its final roots are the connected components;
+    - a union-find search from the seeds takes words in order of length
+      and gives, for every equal pair, the least length cap under which
+      the pair connects (the space entries, each the max over the
+      classes).  At level L it has expanded exactly the words that words
+      no longer than L join to a seed, so it sees the components of the
+      seeds under cap L; it stops at the first level where all the
+      group's seeds share one component, and its roots are then the
+      components;
     - a breadth-first search from each seed that has a later seed in its
       component, stopped once all of them are reached, gives the
       distances (the Dehn entries).
+
+    Distances and least caps within the length cap do not depend on the
+    order in which words are found, so the rows are those of the whole
+    graph.
 
     Trivial pairs (x, x) participate: their space requirement is |x|.
 
@@ -428,10 +480,12 @@ def dehn_table(presentation: Presentation, n_max: int,
     every seed length.  Without a complete system every seed is explored,
     in one graph.
 
-    ``node_budget`` caps each class's graph, not their sum: it guards
-    memory, and a class's graph is all that is held at once.  When it cuts
-    a class's graph short, in either mode, the rows are marked truncated
-    and not exhaustive.
+    ``node_budget`` caps the words found in each class's graph, not their
+    sum: it guards memory, and a class's graph is all that is held at
+    once.  Only the words the two passes need are found, so a table can
+    be exhaustive under a budget that the class's whole graph would
+    outgrow.  When the budget drops a word, in either mode, the rows are
+    marked truncated and not exhaustive.
     """
     if n_max < 1:
         raise ValueError("n must be >= 1")

@@ -79,6 +79,17 @@ def positive_int(text: str) -> int:
     return value
 
 
+def exhaustive_n(text: str) -> int:
+    """argparse type for the n of an exhaustive Dehn table: 1 up to
+    :data:`analysis.MAX_EXHAUSTIVE_N`."""
+    value = positive_int(text)
+    if value > analysis.MAX_EXHAUSTIVE_N:
+        raise argparse.ArgumentTypeError(
+            f"exhaustive Dehn tables are capped at n = {analysis.MAX_EXHAUSTIVE_N}, "
+            f"got {value}")
+    return value
+
+
 def _parse_range(text: str) -> range:
     try:
         if ".." in text:
@@ -415,7 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated: completeness,equivalence,probe,dehn")
     p.add_argument("--max-rules", type=positive_int, default=confluence.MAX_RULES)
     p.add_argument("--max-steps", type=positive_int, default=confluence.MAX_STEPS)
-    p.add_argument("--dehn-n", type=positive_int, default=4)
+    p.add_argument("--dehn-n", type=exhaustive_n, default=4)
     p.add_argument("--out", dest="report_out", help="write the --json report here")
     add_common(p, cmd_grid,
                nodes="node budget of each oracle search and of each Dehn "

@@ -536,25 +536,68 @@ class TestSeedPruning:
         assert dehn_table(pres, 8) == per_class
 
     def test_one_class_graph_at_a_time(self, demo, monkeypatch):
+        # each class is measured by its own call, and every word its graph
+        # grows shares the normal form of the class's seeds
         system, pres, _ = demo
         pairs = system.rule_pairs()
-        explore = analysis._explore
-        calls = []
+        measure, explore = analysis._measure_class, analysis._explore
+        forms = []  # per measured class: its seeds' forms, then its words'
 
-        def recording(equations, seeds, cap, node_budget):
-            result = explore(equations, seeds, cap, node_budget)
-            calls.append((list(seeds), len(result[0])))
+        def measuring(equations, seeds, *args):
+            forms.append(({_reduce(pairs, w, 10**6) for w in seeds}, set()))
+            return measure(equations, seeds, *args)
+
+        def exploring(rules, batch, words, *args):
+            result = explore(rules, batch, words, *args)
+            forms[-1][1].update(_reduce(pairs, words[i], 10**6) for i in result[0])
             return result
 
-        monkeypatch.setattr(analysis, "_explore", recording)
+        monkeypatch.setattr(analysis, "_measure_class", measuring)
+        monkeypatch.setattr(analysis, "_explore", exploring)
         dehn_table(pres, 9)
-        assert len(calls) > 1
-        for seeds, _ in calls:
-            assert len({_reduce(pairs, w, 10**6) for w in seeds}) == 1
-        all_seeds = [w for seeds, _ in calls for w in seeds]
-        one_graph = explore(pres.equations, all_seeds, 9 + analysis.default_slack(pres),
-                            analysis.DEFAULT_NODE_BUDGET)
-        assert sum(size for _, size in calls) == len(one_graph[0])
+        assert len(forms) > 1
+        for seed_forms, word_forms in forms:
+            assert len(seed_forms) == 1
+            assert word_forms <= seed_forms
+        assert any(word_forms for _, word_forms in forms)
+
+
+class TestOnDemandGraph:
+    # the unpruned (1,3,2,2), whose seeds never all meet, keeps its rows
+    # in TestSeedPruning::test_no_complete_system_explores_every_seed
+    @pytest.mark.parametrize("exponents", [(1, 1, 1, 1), (2, 2, 2, 2)])
+    def test_rows_expand_fewer_words_than_the_whole_graph(self, exponents,
+                                                          monkeypatch):
+        pres = _family_presentation(exponents)
+        cap = 8 + analysis.default_slack(pres)
+        expanded = Counter()
+        neighbors = analysis._neighbors
+
+        def recorded(rules, w, cap):
+            expanded[w] += 1
+            return neighbors(rules, w, cap)
+
+        monkeypatch.setattr(analysis, "_neighbors", recorded)
+        assert dehn_table(pres, 8) == reference_dehn_rows(pres.equations, 8, cap)
+        # each word is expanded at most once, and the graph reachable from
+        # the partnered seeds holds at least half as many words again
+        seeds = [w for group in _partnered_seeds(pres, words_up_to("ab", 8))
+                 for w in group]
+        whole, _ = bfs_graph(pres.equations, seeds, cap)
+        assert max(expanded.values()) == 1
+        assert set(expanded) < whole
+        assert len(expanded) < 0.7 * len(whole)
+
+    def test_budget_caps_only_the_words_found(self):
+        # some class's whole graph outgrows 30 words, but the rows never
+        # need that many, so the table stays exhaustive at 30
+        pres = _family_presentation((1, 1, 1, 2))
+        cap = 7 + analysis.default_slack(pres)
+        groups = _partnered_seeds(pres, words_up_to("ab", 7))
+        assert max(len(bfs_graph(pres.equations, g, cap)[0]) for g in groups) > 30
+        table = dehn_table(pres, 7, node_budget=30)
+        assert all(r.exhaustive and not r.truncated for r in table)
+        assert table == dehn_table(pres, 7)
 
 
 @pytest.mark.parametrize("exponents, prunes", [

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import pytest
 
-from rewritekit import cli
+from rewritekit import analysis, cli
 from rewritekit.confluence import knuth_bendix
 
 DEMO_PRESENTATION = "letters: a b\nab^2a^2b^2 = b\n"
@@ -161,6 +161,17 @@ class TestExitCodes:
         assert captured.err.startswith("budget exhausted:")
         assert "(1, 1, 1, 1)" in captured.err
         assert len(captured.err.strip().splitlines()) == 1
+
+    def test_usage_error_on_grid_dehn_n_above_the_ceiling(self, capsys):
+        # grid has no random mode, so parsing rejects an n that no exhaustive
+        # table reaches, before any tuple is certified
+        ceiling = analysis.MAX_EXHAUSTIVE_N
+        assert cli.main(["grid", "--range", "1..1", "--checks", "dehn",
+                         "--dehn-n", str(ceiling + 1)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"capped at n = {ceiling}," in captured.err
+        assert "random" not in captured.err
 
     def test_budget_exhaustion_on_tiny_oracle(self, pres_file, capsys):
         assert cli.main(["equal", "--presentation", pres_file, "ab^2", "b",
