@@ -25,6 +25,9 @@ MAX_EXHAUSTIVE_N = 14
 # seeds with.  A run that is not done within these rarely completes soon,
 # and every table pays for its runs, so they stay small.
 _PRUNE_LIMITS = {"max_rules": 10, "max_steps": 50}
+# The stamps a Dehn table's per-seed searches mark their words with, before
+# the seen array is cleared: the most one byte holds.
+_SEEN_STAMPS = 255
 
 FORWARD, BACKWARD = "lr", "rl"
 
@@ -251,11 +254,13 @@ def _explore(rules, batch, words: list[Word], id_of: dict[Word, int],
     are expanded.  A neighbour not yet in ``words`` gets the next id, unless
     ``node_budget`` words are known already: then it is dropped.
 
-    Returns ``(added, rows, whole)``: the range of ids added, the rows
-    built in batch order, and False when a word was dropped.
+    Returns ``(added, rows, whole)``: the ids added, the rows built in
+    batch order, and False when a word was dropped.  ``added`` holds the
+    same int objects as ``id_of`` and the rows, so a caller that keeps ids
+    adds no copies of them.
     """
     get = id_of.get
-    first = len(words)
+    added = []
     rows = []
     whole = True
     for i in batch:
@@ -268,11 +273,12 @@ def _explore(rules, batch, words: list[Word], id_of: dict[Word, int],
                     continue
                 j = id_of[w2] = len(words)
                 words.append(w2)
+                added.append(j)
             row.append(j)
         adj[i] = row = tuple(row)
         rows.append(row)
-    adj.extend(repeat(None, len(words) - first))
-    return range(first, len(words)), rows, whole
+    adj.extend(repeat(None, len(added)))
+    return added, rows, whole
 
 
 def _pruning_system(presentation: Presentation) -> Optional[RewritingSystem]:
@@ -381,6 +387,7 @@ def _measure_class(equations, seeds, cap: int, node_budget: int, n_max: int,
                 min_seed[i] = mi
                 if not joins_left:
                     break
+        bucket.clear()  # no later level reads it
 
     # dehn: seeds grouped by root, ascending ids within each class
     classes: dict[int, list[int]] = {}
@@ -394,13 +401,20 @@ def _measure_class(equations, seeds, cap: int, node_budget: int, n_max: int,
     # a BFS from each seed, level by level, stopped once it has reached
     # every later seed of its class.  Neighbours are needed from the first
     # word walked that is not expanded yet: it is expanded together with
-    # the rest of its level that is not
+    # the rest of its level that is not.  One seen array serves every BFS
+    # and grows with the graph: each BFS marks the words it reaches with
+    # its own stamp, and the array is cleared once the stamps run out, so
+    # a BFS costs what it walks rather than the graph's size
+    seen = bytearray(len(words))
+    stamp = 0
     for members in classes.values():
         for k, u in enumerate(members[:-1]):
             lu = len(words[u])
             todo = len(members) - 1 - k  # later seeds of u's class
-            seen = bytearray(len(words))
-            seen[u] = 1
+            stamp = stamp % _SEEN_STAMPS + 1
+            if stamp == 1:
+                seen[:] = bytes(len(seen))
+            seen[u] = stamp
             level = [u]
             d = 0
             while todo:
@@ -416,8 +430,8 @@ def _measure_class(equations, seeds, cap: int, node_budget: int, n_max: int,
                         seen.extend(bytes(len(added)))
                         row = adj[i]
                     for j in row:
-                        if not seen[j]:
-                            seen[j] = 1
+                        if seen[j] != stamp:
+                            seen[j] = stamp
                             found.append(j)
                             if u < j < n_seeds:
                                 todo -= 1
@@ -478,7 +492,8 @@ def dehn_table(presentation: Presentation, n_max: int,
     shares has no partner, and its component adds nothing to the Dehn,
     space or pair figures of the others.  The space floor still counts
     every seed length.  Without a complete system every seed is explored,
-    in one graph.
+    in one graph; unless every seed equals every other, they never all
+    share one component, so the search finds every word within the cap.
 
     ``node_budget`` caps the words found in each class's graph, not their
     sum: it guards memory, and a class's graph is all that is held at

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from collections import Counter, deque
 from pathlib import Path
@@ -587,6 +588,25 @@ class TestOnDemandGraph:
         assert max(expanded.values()) == 1
         assert set(expanded) < whole
         assert len(expanded) < 0.7 * len(whole)
+
+    @pytest.mark.parametrize("stamps", [analysis._SEEN_STAMPS, 1])
+    def test_searches_outnumber_seen_stamps(self, stamps, monkeypatch):
+        # under ab = ba the seeds with five a's and six b's form one class
+        # of C(11, 5) = 462 words, so its per-seed searches outnumber the
+        # stamps of the shared seen array, which is cleared when they run
+        # out (with one stamp, before every search).  Distances are
+        # inversion counts, every path keeps its length, and each class is
+        # complete
+        monkeypatch.setattr(analysis, "_SEEN_STAMPS", stamps)
+        n = 11
+        table = dehn_table(rk.Presentation(AB, (("ab", "ba"),)), n)
+        pairs = 0
+        for L in range(1, n + 1):
+            pairs += sum(math.comb(math.comb(L, j), 2) for j in range(L + 1))
+            row = table[L - 1]
+            assert (row.dehn, row.space, row.pairs_examined) == (
+                (L // 2) * (L - L // 2), L, pairs)
+            assert row.exhaustive
 
     def test_budget_caps_only_the_words_found(self):
         # some class's whole graph outgrows 30 words, but the rows never
