@@ -25,9 +25,6 @@ MAX_EXHAUSTIVE_N = 14
 # seeds with.  A run that is not done within these rarely completes soon,
 # and every table pays for its runs, so they stay small.
 _PRUNE_LIMITS = {"max_rules": 10, "max_steps": 50}
-# The stamps a Dehn table's per-seed searches mark their words with, before
-# the seen array is cleared: the most one byte holds.
-_SEEN_STAMPS = 255
 
 FORWARD, BACKWARD = "lr", "rl"
 
@@ -398,50 +395,76 @@ def _measure_class(equations, seeds, cap: int, node_budget: int, n_max: int,
         classes.setdefault(r, []).append(u)
     del parent, min_seed, active, buckets
 
-    # a BFS from each seed, level by level, stopped once it has reached
-    # every later seed of its class.  Neighbours are needed from the first
-    # word walked that is not expanded yet: it is expanded together with
-    # the rest of its level that is not.  One seen array serves every BFS
-    # and grows with the graph: each BFS marks the words it reaches with
-    # its own stamp, and the array is cleared once the stamps run out, so
-    # a BFS costs what it walks rather than the graph's size
-    seen = bytearray(len(words))
-    stamp = 0
+    # one BFS per class from all its seeds at once, level by level.  Bit b
+    # of seen[w] marks the class's b-th seed as reaching word w before
+    # level k, and bit b of fresh[w] at level k.  A pair at distance d first
+    # meets at level k = ceil(d / 2): on a word one seed reaches newly and
+    # the other earlier if d = 2k - 1, or on one both reach newly if d = 2k,
+    # which a pair at 2k - 1 may share too, so odd meets count first.  A
+    # seed stops spreading once all its pairs are known.  The classes are
+    # disjoint components, so they share the marks without clearing them
+    seen = [0] * len(words)
+    fresh = [0] * len(words)
     for members in classes.values():
-        for k, u in enumerate(members[:-1]):
-            lu = len(words[u])
-            todo = len(members) - 1 - k  # later seeds of u's class
-            stamp = stamp % _SEEN_STAMPS + 1
-            if stamp == 1:
-                seen[:] = bytes(len(seen))
-            seen[u] = stamp
-            level = [u]
-            d = 0
-            while todo:
-                d += 1
-                found = []
-                for pos, i in enumerate(level):
-                    row = adj[i]
-                    if row is None:
-                        batch = [w for w in level[pos:] if adj[w] is None]
-                        added, _, ok = _explore(rules, batch, words, id_of, adj,
-                                                cap, node_budget)
-                        whole &= ok
-                        seen.extend(bytes(len(added)))
-                        row = adj[i]
-                    for j in row:
-                        if seen[j] != stamp:
-                            seen[j] = stamp
-                            found.append(j)
-                            if u < j < n_seeds:
-                                todo -= 1
-                                t = max(lu, len(words[j]))
-                                pairs_at[t] += 1
-                                if d > max_d_at[t]:
-                                    max_d_at[t] = d
-                    if not todo:
-                        break
-                level = found
+        m = len(members)
+        if m == 1:
+            continue
+        full = active = (1 << m) - 1
+        known = [1 << b for b in range(m)]  # each seed and its known partners
+        for b, u in enumerate(members):
+            seen[u] = 1 << b
+        level = members
+        k = 0
+        while active:
+            k += 1
+            batch = [i for i in level if adj[i] is None and seen[i] & active]
+            added, _, ok = _explore(rules, batch, words, id_of, adj, cap,
+                                    node_budget)
+            whole &= ok
+            seen.extend(repeat(0, len(added)))
+            fresh.extend(repeat(0, len(added)))
+            found = []
+            for i in level:
+                # i's older bits have reached its neighbours already
+                bits = seen[i] & active
+                if bits:
+                    for j in adj[i]:
+                        new = bits & ~seen[j]
+                        if new:
+                            f = fresh[j]
+                            if not f:
+                                found.append(j)
+                            fresh[j] = f | new
+            meets: dict[int, int] = {}  # fresh bits -> earlier bits beside them
+            for j in found:
+                f, e = fresh[j], seen[j]
+                fresh[j] = 0
+                seen[j] = e | f
+                if e or f & (f - 1):
+                    meets[f] = meets.get(f, 0) | e
+            odd, even = [0] * m, [0] * m
+            for f, e in meets.items():
+                g = f
+                while g:
+                    b = g.bit_length() - 1
+                    g ^= 1 << b
+                    odd[b] |= e
+                    even[b] |= f
+            # both seeds of a pair see its meets (an odd one on either side of
+            # a shortest path's middle), so each counts its lower partners
+            for d, hits in ((2 * k - 1, odd), (2 * k, even)):
+                for b, u in enumerate(members):
+                    new = hits[b] & ~known[b]
+                    if new:
+                        known[b] |= new
+                        lower = new & ((1 << b) - 1)
+                        if lower:
+                            t = len(words[u])
+                            pairs_at[t] += lower.bit_count()
+                            max_d_at[t] = max(max_d_at[t], d)
+                        if known[b] == full:
+                            active &= ~(1 << b)
+            level = found
     return whole
 
 
@@ -476,9 +499,12 @@ def dehn_table(presentation: Presentation, n_max: int,
       seeds under cap L; it stops at the first level where all the
       group's seeds share one component, and its roots are then the
       components;
-    - a breadth-first search from each seed that has a later seed in its
-      component, stopped once all of them are reached, gives the
-      distances (the Dehn entries).
+    - one breadth-first search per component, from all of its seeds at
+      once, gives the distances (the Dehn entries).  Each word carries a
+      bitmask of the seeds that have reached it, and a pair's distance is
+      read where its two searches first meet, so each seed searches about
+      half of its longest distance; a seed stops once all of its pairs are
+      known.
 
     Distances and least caps within the length cap do not depend on the
     order in which words are found, so the rows are those of the whole

@@ -1,4 +1,5 @@
 import tempfile
+from collections import deque
 from itertools import permutations, product
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import rewritekit as rk
+from rewritekit.analysis import DehnSample
 from rewritekit.rewrite import _letter_ranks, _order_key
 
 # Property tests draw the same examples on every run and keep no example
@@ -63,6 +65,88 @@ def reference_order_scan(system, max_weight):
                    for lhs, rhs in pairs):
                 return rk.ReductionOrder(weights, prec)
     return None
+
+
+def bfs_graph(equations, seeds, cap):
+    """Test-local exploration of the relation graph, written independently:
+    plain double-loop occurrence scanning, explicit edge set."""
+    def moves(w):
+        out = []
+        for l, r in equations:
+            for pat, sub in ((l, r), (r, l)):
+                if len(w) - len(pat) + len(sub) > cap:
+                    continue
+                for p in range(len(w) - len(pat) + 1):
+                    if w[p:p + len(pat)] == pat:
+                        out.append(w[:p] + sub + w[p + len(pat):])
+        return out
+
+    seen = set(seeds)
+    queue = deque(seeds)
+    edges = set()
+    while queue:
+        w = queue.popleft()
+        for w2 in moves(w):
+            edges.add((w, w2))
+            if w2 not in seen:
+                seen.add(w2)
+                queue.append(w2)
+    return seen, edges
+
+
+def bfs_distances(edges_by_node, src):
+    """Distance from ``src`` to every word it reaches."""
+    dist = {src: 0}
+    queue = deque([src])
+    while queue:
+        w = queue.popleft()
+        for w2 in edges_by_node.get(w, ()):
+            if w2 not in dist:
+                dist[w2] = dist[w] + 1
+                queue.append(w2)
+    return dist
+
+
+def reference_dehn_rows(equations, n_max, cap):
+    """Exhaustive rows from first principles: a BFS per seed for its
+    distances to the later seeds, and components recomputed under every
+    length cap for the least cap joining each pair."""
+    seeds = words_up_to("ab", n_max)
+    nodes, edges = bfs_graph(equations, seeds, cap)
+    by_node = {}
+    for a, b in edges:
+        by_node.setdefault(a, []).append(b)
+
+    def components(limit):
+        label = {}
+        for start in nodes:
+            if len(start) <= limit and start not in label:
+                label[start] = start
+                todo = [start]
+                while todo:
+                    w = todo.pop()
+                    for v in by_node.get(w, ()):
+                        if len(v) <= limit and v not in label:
+                            label[v] = start
+                            todo.append(v)
+        return label
+
+    labels = [components(limit) for limit in range(cap + 1)]
+    pairs = []  # (max length, distance, least cap)
+    for i, x in enumerate(seeds):
+        dist = bfs_distances(by_node, x)
+        for y in seeds[i + 1:]:
+            d = dist.get(y)
+            if d is not None:
+                least = next(c for c, lab in enumerate(labels)
+                             if x in lab and y in lab and lab[x] == lab[y])
+                pairs.append((max(len(x), len(y)), d, least))
+    rows = []
+    for n in range(1, n_max + 1):
+        mine = [p for p in pairs if p[0] <= n]
+        rows.append(DehnSample(n, max((p[1] for p in mine), default=0),
+                               max([n] + [p[2] for p in mine]), len(mine), True))
+    return rows
 
 
 def system(alpha, *rules):

@@ -1,7 +1,7 @@
 import json
 import math
 import random
-from collections import Counter, deque
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 import rewritekit as rk
 from rewritekit import analysis
 from rewritekit.analysis import (
-    DehnSample,
     _partnered_seeds,
     _pruning_system,
     dehn_table,
@@ -25,50 +24,16 @@ from rewritekit.rewrite import (
 )
 from rewritekit.confluence import knuth_bendix
 from rewritekit.words import _shortlex_words, alphabet
-from tests.conftest import certified_demo as demo, words_up_to
+from tests.conftest import (
+    bfs_distances,
+    bfs_graph,
+    certified_demo as demo,
+    reference_dehn_rows,
+    words_up_to,
+)
 
 AB = alphabet("ab")
 GOLDEN = Path(__file__).parent / "golden"
-
-
-def bfs_graph(equations, seeds, cap):
-    """Test-local exploration of the relation graph, written independently:
-    plain double-loop occurrence scanning, explicit edge set."""
-    def moves(w):
-        out = []
-        for l, r in equations:
-            for pat, sub in ((l, r), (r, l)):
-                if len(w) - len(pat) + len(sub) > cap:
-                    continue
-                for p in range(len(w) - len(pat) + 1):
-                    if w[p:p + len(pat)] == pat:
-                        out.append(w[:p] + sub + w[p + len(pat):])
-        return out
-
-    seen = set(seeds)
-    queue = deque(seeds)
-    edges = set()
-    while queue:
-        w = queue.popleft()
-        for w2 in moves(w):
-            edges.add((w, w2))
-            if w2 not in seen:
-                seen.add(w2)
-                queue.append(w2)
-    return seen, edges
-
-
-def bfs_distances(edges_by_node, src):
-    """Distance from ``src`` to every word it reaches."""
-    dist = {src: 0}
-    queue = deque([src])
-    while queue:
-        w = queue.popleft()
-        for w2 in edges_by_node.get(w, ()):
-            if w2 not in dist:
-                dist[w2] = dist[w] + 1
-                queue.append(w2)
-    return dist
 
 
 class TestEqualInMonoid:
@@ -418,48 +383,6 @@ class TestGolden:
         assert cert.replay(pres)
 
 
-def reference_dehn_rows(equations, n_max, cap):
-    """Exhaustive rows from first principles: a BFS per seed for its
-    distances to the later seeds, and components recomputed under every
-    length cap for the least cap joining each pair."""
-    seeds = words_up_to("ab", n_max)
-    nodes, edges = bfs_graph(equations, seeds, cap)
-    by_node = {}
-    for a, b in edges:
-        by_node.setdefault(a, []).append(b)
-
-    def components(limit):
-        label = {}
-        for start in nodes:
-            if len(start) <= limit and start not in label:
-                label[start] = start
-                todo = [start]
-                while todo:
-                    w = todo.pop()
-                    for v in by_node.get(w, ()):
-                        if len(v) <= limit and v not in label:
-                            label[v] = start
-                            todo.append(v)
-        return label
-
-    labels = [components(limit) for limit in range(cap + 1)]
-    pairs = []  # (max length, distance, least cap)
-    for i, x in enumerate(seeds):
-        dist = bfs_distances(by_node, x)
-        for y in seeds[i + 1:]:
-            d = dist.get(y)
-            if d is not None:
-                least = next(c for c, lab in enumerate(labels)
-                             if x in lab and y in lab and lab[x] == lab[y])
-                pairs.append((max(len(x), len(y)), d, least))
-    rows = []
-    for n in range(1, n_max + 1):
-        mine = [p for p in pairs if p[0] <= n]
-        rows.append(DehnSample(n, max((p[1] for p in mine), default=0),
-                               max([n] + [p[2] for p in mine]), len(mine), True))
-    return rows
-
-
 _side = st.lists(st.sampled_from("ab"), max_size=3).map("".join)
 
 
@@ -589,15 +512,11 @@ class TestOnDemandGraph:
         assert set(expanded) < whole
         assert len(expanded) < 0.7 * len(whole)
 
-    @pytest.mark.parametrize("stamps", [analysis._SEEN_STAMPS, 1])
-    def test_searches_outnumber_seen_stamps(self, stamps, monkeypatch):
+    def test_class_wider_than_a_machine_word(self):
         # under ab = ba the seeds with five a's and six b's form one class
-        # of C(11, 5) = 462 words, so its per-seed searches outnumber the
-        # stamps of the shared seen array, which is cleared when they run
-        # out (with one stamp, before every search).  Distances are
-        # inversion counts, every path keeps its length, and each class is
-        # complete
-        monkeypatch.setattr(analysis, "_SEEN_STAMPS", stamps)
+        # of C(11, 5) = 462 words, so the search from all of its seeds at
+        # once marks words with 462-bit masks.  Distances are inversion
+        # counts, every path keeps its length, and each class is complete
         n = 11
         table = dehn_table(rk.Presentation(AB, (("ab", "ba"),)), n)
         pairs = 0

@@ -1,15 +1,15 @@
 """Seeded property tests for the shared building blocks: the one reduction
 loop and its trace, the system and presentation file formats, the
 shortlex enumerator behind ``enumerate_elements``, the certificates of
-the equality oracle, and the weighted-shortlex reduction order and its
-search."""
+the equality oracle, the weighted-shortlex reduction order and its
+search, and the Dehn tables' distance search."""
 
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from rewritekit.analysis import enumerate_elements, equal_in_monoid
+from rewritekit.analysis import dehn_table, enumerate_elements, equal_in_monoid
 from rewritekit.rewrite import (
     FuelExhausted,
     LESS,
@@ -29,7 +29,8 @@ from rewritekit.rewrite import (
     verify_termination,
 )
 from rewritekit.words import Alphabet, _shortlex_words, parse_word, print_word
-from tests.conftest import reference_order_scan, weight_needed
+from tests.conftest import (reference_dehn_rows, reference_order_scan,
+                            weight_needed)
 
 LETTER_SETS = ("ab", "abx", "pqrs")
 
@@ -220,3 +221,20 @@ def test_found_orders_certify_termination(system, max_weight):
         pairs = system.rule_pairs()
         for letter, weight in order.weights.items():
             assert weight <= max(max_weight, weight_needed(pairs, letter))
+
+
+@settings(max_examples=40)
+@given(st.lists(st.tuples(_words("ab", 0, 4), _words("ab", 0, 4)), min_size=1,
+                max_size=2),
+       st.integers(1, 6))
+@example([("a", ""), ("aa", "")], 1)
+def test_dehn_table_matches_the_per_pair_reference(equations, n):
+    """Exhaustive rows at the default slack equal the rows of a BFS from
+    every seed: odd and even distances, equations with an empty or
+    repeated side, and presentations without a complete system, whose
+    seeds are all searched in one graph.  In the explicit example "" and
+    "a" are one step apart and both one step from "aa", so their distance
+    is 1 only if a level's odd meets are counted before its even ones."""
+    pres = Presentation(Alphabet(("a", "b")), tuple(equations))
+    slack = 2 * max(len(side) for eq in equations for side in eq)
+    assert dehn_table(pres, n) == reference_dehn_rows(pres.equations, n, n + slack)
