@@ -512,13 +512,17 @@ class TestOnDemandGraph:
         assert set(expanded) < whole
         assert len(expanded) < 0.7 * len(whole)
 
-    def test_class_wider_than_a_machine_word(self):
-        # under ab = ba the seeds with five a's and six b's form one class
-        # of C(11, 5) = 462 words, so the search from all of its seeds at
-        # once marks words with 462-bit masks.  Distances are inversion
-        # counts, every path keeps its length, and each class is complete
+    @pytest.mark.parametrize("slack", [255, 1])
+    def test_searches_outnumber_seen_stamps(self, slack):
+        # named for the per-seed searches that once outnumbered a shared
+        # seen array's stamps: under ab = ba the seeds with five a's and six
+        # b's form one class of C(11, 5) = 462 words, so the search from all
+        # of its seeds at once marks words with 462-bit masks.  Distances
+        # are inversion counts, every path keeps its length, so no slack
+        # changes the rows, and each class is complete
         n = 11
-        table = dehn_table(rk.Presentation(AB, (("ab", "ba"),)), n)
+        table = dehn_table(rk.Presentation(AB, (("ab", "ba"),)), n,
+                           slack=slack)
         pairs = 0
         for L in range(1, n + 1):
             pairs += sum(math.comb(math.comb(L, j), 2) for j in range(L + 1))
