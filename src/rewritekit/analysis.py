@@ -314,18 +314,22 @@ def _partnered_seeds(presentation: Presentation, seeds) -> list[list[Word]]:
     return [g for g in groups.values() if len(g) > 1]
 
 
-def _measure_class(equations, seeds, cap: int, node_budget: int, n_max: int,
+def _measure_class(rules, seeds, cap: int, node_budget: int,
                    max_d_at: list[int], pairs_at: list[int],
                    space_at: list[int]) -> bool:
     """Add the Dehn, pair and space figures of the graph reachable from
-    ``seeds`` into the per-threshold lists; True when no word was dropped
-    for ``node_budget``.  The graph grows only as far as the figures need
-    it, and is freed on return.
+    ``seeds`` under the directed ``rules`` into the per-threshold lists;
+    True when no word was dropped for ``node_budget``.  The graph grows
+    only as far as the figures need it, and is freed on return.
+
+    The seeds must be distinct and in nondecreasing length: they hold ids
+    0..n_seeds-1 in that order, and the sweep's roots rely on it.
     """
-    rules = _directed(equations)
-    words = list(seeds)  # the seeds are distinct, so they hold ids 0..n_seeds-1
+    words = list(seeds)
     id_of = {w: i for i, w in enumerate(words)}
     n_seeds = len(words)
+    if n_seeds < 2:
+        return True  # a lone seed has no pair
     adj: list = [None] * n_seeds
     whole = True
 
@@ -335,14 +339,14 @@ def _measure_class(equations, seeds, cap: int, node_budget: int, n_max: int,
     # which grows while it is walked, and a longer one waits in its own.  An
     # edge becomes usable when its later endpoint activates, so unioning on
     # activation makes the level the exact minimax requirement for every
-    # pair the union newly connects.  min_seed[r] is the shortest seed
-    # length in root r's class (n_max + 1 for none), so t <= n_max exactly
-    # when both sides hold a seed; after n_seeds - 1 such unions every seed
-    # shares one component, and the search stops.
-    parent = list(range(n_seeds))
-    min_seed = [len(w) for w in words]
-    no_seed = n_max + 1
-    active = bytearray(n_seeds)
+    # pair the union newly connects.  parent[j] is -1 until j activates,
+    # and a union links under the lesser root, so a root is its class's
+    # least id.  The seeds hold ids 0..n_seeds-1 in nondecreasing length,
+    # so a root is below n_seeds exactly when its class holds a seed, and
+    # is then its shortest seed: a union of two seed classes has threshold
+    # |words[j]| for the greater root j.  After n_seeds - 1 such unions
+    # every seed shares one component, and the search stops.
+    parent = [-1] * n_seeds
     buckets: list[list[int]] = [[] for _ in range(cap + 1)]
     for i, w in enumerate(words):
         buckets[len(w)].append(i)
@@ -355,33 +359,27 @@ def _measure_class(equations, seeds, cap: int, node_budget: int, n_max: int,
             added, rows, ok = _explore(rules, batch, words, id_of, adj, cap,
                                        node_budget)
             whole &= ok
-            parent.extend(added)
-            min_seed.extend(repeat(no_seed, len(added)))
-            active.extend(bytes(len(added)))
+            parent.extend(repeat(-1, len(added)))
             for j in added:
                 L = len(words[j])
                 buckets[L if L > level else level].append(j)
             for i, row in zip(batch, rows):
-                # i activates as its own root and stays the root of every
-                # class it absorbs
-                active[i] = 1
-                mi = min_seed[i]
+                parent[i] = r = i  # r: the root of i's class
                 for j in row:
-                    if not active[j]:
+                    if parent[j] < 0:
                         continue
                     while parent[j] != j:  # find, with path halving
                         parent[j] = j = parent[parent[j]]
-                    if j == i:
+                    if j == r:
                         continue
-                    mj = min_seed[j]
-                    t = max(mi, mj)
-                    if t <= n_max:
+                    if j < r:
+                        r, j = j, r
+                    parent[j] = r
+                    if j < n_seeds:
                         joins_left -= 1
+                        t = len(words[j])
                         if level > space_at[t]:
                             space_at[t] = level
-                    parent[j] = i
-                    mi = min(mi, mj)
-                min_seed[i] = mi
                 if not joins_left:
                     break
         bucket.clear()  # no later level reads it
@@ -393,7 +391,7 @@ def _measure_class(equations, seeds, cap: int, node_budget: int, n_max: int,
         while parent[r] != r:
             r = parent[r]
         classes.setdefault(r, []).append(u)
-    del parent, min_seed, active, buckets
+    del parent, buckets
 
     # one BFS per class from all its seeds at once, level by level.  Bit b
     # of seen[w] marks the class's b-th seed as reaching word w before
@@ -497,8 +495,9 @@ def dehn_table(presentation: Presentation, n_max: int,
       classes).  At level L it has expanded exactly the words that words
       no longer than L join to a seed, so it sees the components of the
       seeds under cap L; it stops at the first level where all the
-      group's seeds share one component, and its roots are then the
-      components;
+      group's seeds share one component.  Each union links under the
+      lesser id, so the root of a component that holds a seed is its
+      shortest seed, and the seeds' roots name the components;
     - one breadth-first search per component, from all of its seeds at
       once, gives the distances (the Dehn entries).  Each word carries a
       bitmask of the seeds that have reached it, and a pair's distance is
@@ -533,7 +532,6 @@ def dehn_table(presentation: Presentation, n_max: int,
     if sample_count is None and n_max > MAX_EXHAUSTIVE_N:
         raise ValueError(f"exhaustive mode is capped at n = {MAX_EXHAUSTIVE_N}; "
                          "use random sampling for larger n")
-    equations = presentation.equations
     if slack is None:
         slack = default_slack(presentation)
     if slack < 0:
@@ -551,9 +549,10 @@ def dehn_table(presentation: Presentation, n_max: int,
     max_d_at = [0] * (n_max + 1)     # by threshold max(|x|, |y|)
     pairs_at = [0] * (n_max + 1)
     space_at = [0] * (n_max + 1)
+    rules = _directed(presentation.equations)
     exhausted = True
     for group in _partnered_seeds(presentation, seeds):
-        exhausted &= _measure_class(equations, group, cap, node_budget, n_max,
+        exhausted &= _measure_class(rules, group, cap, node_budget,
                                     max_d_at, pairs_at, space_at)
 
     seed_lengths = {len(w) for w in seeds}

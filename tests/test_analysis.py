@@ -543,15 +543,29 @@ class TestOnDemandGraph:
         assert table == dehn_table(pres, 7)
 
 
-@pytest.mark.parametrize("exponents, prunes", [
+_DEFAULT_SLACK_TABLES = [
     ((1, 2, 2, 2), True), ((1, 1, 1, 1), True), ((2, 1, 3, 1), True),
     ((2, 2, 2, 2), True), ((1, 3, 2, 2), False), ((1, 2, 3, 2), False),
-    ((1, 3, 2, 3), False)])
-def test_family_dehn_tables_match_per_pair_reference(exponents, prunes):
+    ((1, 3, 2, 3), False)]
+
+
+# the default-slack cases keep their ids.  At slack 0 and 2 the caps split
+# most of (1,1,1,1)'s normal-form classes into several components, so the
+# sweep's roots, not the grouping, decide the distance pass's classes
+@pytest.mark.parametrize("exponents, prunes, slack", [
+    *(pytest.param(e, p, None, id=f"exponents{k}-{p}")
+      for k, (e, p) in enumerate(_DEFAULT_SLACK_TABLES)),
+    ((1, 1, 1, 1), True, 0), ((1, 1, 1, 1), True, 2)])
+def test_family_dehn_tables_match_per_pair_reference(exponents, prunes, slack):
     pres = _family_presentation(exponents)
     assert (_pruning_system(pres) is not None) == prunes
-    slack = 2 * max(len(side) for eq in pres.equations for side in eq)
-    assert dehn_table(pres, 6) == reference_dehn_rows(pres.equations, 6, 6 + slack)
+    table = dehn_table(pres, 6, slack=slack)
+    if slack is None:
+        slack = 2 * max(len(side) for eq in pres.equations for side in eq)
+    else:
+        # fewer pairs connect than under the default cap: the case splits
+        assert table[-1].pairs_examined < dehn_table(pres, 6)[-1].pairs_examined
+    assert table == reference_dehn_rows(pres.equations, 6, 6 + slack)
 
 
 class TestEnumerateElements:
