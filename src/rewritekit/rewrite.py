@@ -5,12 +5,19 @@ The rewriting strategy is fixed: always rewrite at the leftmost matching
 position, and among rules matching there, the one with the lowest index
 wins.  On a complete system the normal form is strategy-independent, so
 this choice only pins down traces and makes every run reproducible.
+
+Two matchers implement it, chosen by the rule list's length alone.  Lists
+of up to ``FIND_SCAN_MAX_RULES`` rules are scanned with one ``str.find``
+per rule.  Longer ones, such as the growing rule lists of Knuth-Bendix
+completion, are matched by an Aho-Corasick automaton over their lhs words,
+which reads each letter once and resumes where the last rewrite happened.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import lru_cache
 from itertools import permutations
 from typing import Mapping, Optional
 
@@ -20,6 +27,11 @@ LESS, GREATER = -1, 1  # compare() returns 0 only for identical words
 
 DEFAULT_FUEL = 10**6
 MAX_WEIGHT = 8  # the termination-order search's default weight cap
+# Rule lists up to this length are matched by str.find, longer ones by an
+# automaton.  On recorded completion calls the automaton, once built, runs
+# at 0.8-0.9x the find scan's speed at 4-7 rules and 1.5-3x from 16 rules
+# up; a build costs about 25 us at 8 rules and 270 us at 48.
+FIND_SCAN_MAX_RULES = 16
 
 
 class FuelExhausted(RuntimeError):
@@ -152,7 +164,8 @@ class RewritingSystem:
 
 
 def _leftmost_match(pairs, w: Word) -> tuple[int, int]:
-    """(position, rule index) of the leftmost lowest-index match, or (-1, -1)."""
+    """(position, rule index) of the leftmost lowest-index match, or (-1, -1),
+    by one ``str.find`` per rule."""
     best_pos, best_idx = -1, -1
     for idx, (lhs, _) in enumerate(pairs):
         p = w.find(lhs)
@@ -161,25 +174,143 @@ def _leftmost_match(pairs, w: Word) -> tuple[int, int]:
     return best_pos, best_idx
 
 
+class _Automaton:
+    """Aho-Corasick automaton over a rule list's lhs words (Aho & Corasick,
+    *CACM* 18(6), 1975), matching by the same strategy as
+    :func:`_leftmost_match`.
+
+    ``goto[c][s]`` is the state reached from state ``s`` by letter ``c``;
+    a letter that no lhs uses leads to the root, state 0.
+    ``out_len[s]`` is the length of the longest lhs that ends the text read
+    into ``s`` (0 if none), and ``out_idx[s]`` that lhs's lowest rule index.
+    ``nested`` says some lhs ends before the end of a longer one.  Only
+    then can a match that ends later start sooner, or at the same place
+    with a lower index, than the first match the scan reads.
+    """
+
+    __slots__ = ("goto", "out_len", "out_idx", "max_len", "nested")
+
+    def __init__(self, lhss) -> None:
+        children: list[dict[str, int]] = [{}]  # the trie, dropped once built
+        out_len, out_idx = [0], [-1]
+        for idx, lhs in enumerate(lhss):
+            s = 0
+            for c in lhs:
+                t = children[s].get(c)
+                if t is None:
+                    t = children[s][c] = len(children)
+                    children.append({})
+                    out_len.append(0)
+                    out_idx.append(-1)
+                s = t
+            if not out_len[s]:  # a repeated lhs keeps its lowest index
+                out_len[s], out_idx[s] = len(lhs), idx
+        letters = {c for lhs in lhss for c in lhs}
+        goto = {c: [0] * len(children) for c in letters}
+        fail = [0] * len(children)
+        nested = False
+        order = [0]
+        for s in order:  # breadth first: a state's failure state is done before it
+            for c in letters:
+                row, t = goto[c], children[s].get(c)
+                if t is None:
+                    row[s] = row[fail[s]]
+                    continue
+                row[s] = t
+                f = fail[t] = row[fail[s]] if s else 0  # the root's children fail to it
+                if not out_len[t]:
+                    out_len[t], out_idx[t] = out_len[f], out_idx[f]
+                order.append(t)
+            if out_len[s] and children[s]:  # an lhs ends inside a longer one
+                nested = True
+        self.goto, self.out_len, self.out_idx = goto, out_len, out_idx
+        self.max_len = max(map(len, lhss), default=0)
+        self.nested = nested
+
+    def match(self, w: Word, states: list[int], resume: int) -> tuple[int, int]:
+        """(position, rule index) of the leftmost lowest-index match, or
+        (-1, -1).  ``states[i]`` is the state after ``w[:i]`` for every
+        ``i <= resume``: the scan drops the later states, resumes after
+        ``w[:resume]`` and appends the states it reads."""
+        goto, out_len = self.goto, self.out_len
+        del states[resume + 1:]
+        end = resume
+        s = states[end]
+        append = states.append
+        for c in w[end:]:
+            try:
+                s = goto[c][s]
+            except KeyError:
+                s = 0
+            append(s)
+            if out_len[s]:
+                break
+        else:
+            return -1, -1
+        end = len(states) - 1
+        pos, idx = end - out_len[s], self.out_idx[s]
+        if self.nested:
+            # a better match ends later but starts no later than pos, so
+            # it ends within max_len of pos
+            for c in w[end:pos + self.max_len]:
+                try:
+                    s = goto[c][s]
+                except KeyError:
+                    s = 0
+                append(s)
+                end += 1
+                if out_len[s] and (end - out_len[s], self.out_idx[s]) < (pos, idx):
+                    pos, idx = end - out_len[s], self.out_idx[s]
+        return pos, idx
+
+
+@lru_cache(maxsize=4)
+def _automaton(lhss: tuple[Word, ...]) -> _Automaton:
+    """The automaton over ``lhss``.  Completion reduces many words against
+    one rule list before the list changes, so the last few are kept."""
+    return _Automaton(lhss)
+
+
+def _matcher(pairs):
+    """The automaton for rule lists longer than ``FIND_SCAN_MAX_RULES``,
+    else None: shorter lists are matched by :func:`_leftmost_match`."""
+    if len(pairs) > FIND_SCAN_MAX_RULES:
+        return _automaton(tuple([lhs for lhs, _ in pairs]))
+    return None
+
+
 def rewrite_step(system: RewritingSystem, w: Word) -> Optional[tuple[Word, int, int]]:
     """Apply one rule at the leftmost position (lowest rule index on ties).
 
     Returns ``(word, rule index, position)``, or ``None`` if ``w`` is a
     normal form.
     """
-    pos, idx = _leftmost_match(system.rule_pairs(), w)
+    pairs = system.rule_pairs()
+    automaton = _matcher(pairs)
+    pos, idx = (_leftmost_match(pairs, w) if automaton is None
+                else automaton.match(w, [0], 0))
     if pos == -1:
         return None
-    lhs, rhs = system.rules[idx].lhs, system.rules[idx].rhs
+    lhs, rhs = pairs[idx]
     return w[:pos] + rhs + w[pos + len(lhs):], idx, pos
 
 
 def _reduce(pairs, w: Word, fuel: int, trace: Optional[list] = None) -> Word:
     """Normal form of ``w``: the one reduction loop.  When ``trace`` is
-    given, each step appends ``(rule index, position, word after)`` to it."""
+    given, each step appends ``(rule index, position, word after)`` to it.
+
+    Lists of up to ``FIND_SCAN_MAX_RULES`` rules are matched by one
+    ``str.find`` per rule and step.  Longer ones are matched by an
+    Aho-Corasick automaton over their lhs words.  A rewrite at position p
+    leaves the states it read for ``w[:p]`` valid, so the next scan
+    resumes there.
+    """
+    automaton = _matcher(pairs)
+    states, pos = [0], 0
     steps = 0
     while True:
-        pos, idx = _leftmost_match(pairs, w)
+        pos, idx = (_leftmost_match(pairs, w) if automaton is None
+                    else automaton.match(w, states, pos))
         if pos == -1:
             return w
         if steps >= fuel:

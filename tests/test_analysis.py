@@ -451,6 +451,22 @@ class TestSeedPruning:
         assert _rows(table) == ROWS_1322_N8
         assert all(r.exhaustive for r in table)
 
+    def test_a_lone_seed_is_measured_alone(self, monkeypatch):
+        # one random sample and no complete system: one class of one seed,
+        # so no pair, and the space floor is the seed's own length
+        pres = _family_presentation((1, 3, 2, 2))
+        measure, classes = analysis._measure_class, []
+
+        def measuring(rules, seeds, *args):
+            classes.append(list(seeds))
+            return measure(rules, seeds, *args)
+
+        monkeypatch.setattr(analysis, "_measure_class", measuring)
+        table = dehn_table(pres, 6, sample_count=1, seed=0)
+        assert [len(seeds) for seeds in classes] == [1]
+        assert _rows(table) == [(n, 0, 0 if n < 4 else 4, 0) for n in range(1, 7)]
+        assert not any(r.exhaustive or r.truncated for r in table)
+
     @pytest.mark.parametrize("exponents", [(1, 2, 2, 2), (1, 1, 1, 1)])
     def test_rows_per_class_equal_rows_of_one_graph(self, exponents, monkeypatch):
         pres = _family_presentation(exponents)
@@ -467,9 +483,9 @@ class TestSeedPruning:
         measure, explore = analysis._measure_class, analysis._explore
         forms = []  # per measured class: its seeds' forms, then its words'
 
-        def measuring(equations, seeds, *args):
+        def measuring(rules, seeds, *args):
             forms.append(({_reduce(pairs, w, 10**6) for w in seeds}, set()))
-            return measure(equations, seeds, *args)
+            return measure(rules, seeds, *args)
 
         def exploring(rules, batch, words, *args):
             result = explore(rules, batch, words, *args)

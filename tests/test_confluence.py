@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import rewritekit as rk
+from rewritekit import confluence, rewrite
 from rewritekit.confluence import (
     CompletionStats,
     _pairs_for_rules,
@@ -20,6 +21,13 @@ from tests.conftest import demo_schema as demo, system, words_up_to
 
 AB = alphabet("ab")
 ABX = alphabet("abx")
+
+
+def _probe_presentation(params):
+    """The probe-grid presentation of the acceptance suite."""
+    tag, fp = rk.classify(*params)
+    return (rk.extended_presentation(fp) if tag.variant in (Case.CASE3, Case.CASE4)
+            else rk.one_relator_presentation(fp))
 
 
 def single_step_reducts(rules, w):
@@ -211,15 +219,45 @@ class TestKnuthBendix:
     ])
     def test_probe_completion_stats_are_pinned(self, params, outcome, stats):
         # the probe-grid setup of the acceptance suite, at its limits
-        tag, fp = rk.classify(*params)
-        pres = (rk.extended_presentation(fp) if tag.variant in (Case.CASE3, Case.CASE4)
-                else rk.one_relator_presentation(fp))
+        pres = _probe_presentation(params)
         report = knuth_bendix(pres, rk.probe_order(pres.alphabet),
                               max_rules=120, max_steps=4000)
         assert (report.outcome, report.stats) == (outcome, CompletionStats(*stats))
         if report.completed:  # inter-reduced: every rhs is a normal form
             rules = report.system.rule_pairs()
             assert all(_reduce(rules, r, 10**6) == r for _, r in rules)
+
+    @pytest.mark.parametrize("params", [(1, 2, 4, 2), (1, 3, 4, 3), (1, 4, 4, 4), None])
+    def test_matcher_does_not_change_completion(self, params, demo_presentation,
+                                                monkeypatch):
+        """The three probe tuples that run to 4000 steps, and the demo
+        presentation under the default order (None), complete alike with
+        the automaton on long rule lists and with the per-rule find scan on
+        every list: the same report, and the same rules at the last
+        reduction."""
+        if params is None:
+            pres, order = demo_presentation, ReductionOrder({"a": 1, "b": 1}, ("a", "b"))
+        else:
+            pres = _probe_presentation(params)
+            order = rk.probe_order(pres.alphabet)
+        reduce = confluence._reduce
+
+        def complete():
+            last_rules = []
+
+            def recording(pairs, *args):
+                last_rules[:] = pairs
+                return reduce(pairs, *args)
+
+            monkeypatch.setattr(confluence, "_reduce", recording)
+            return knuth_bendix(pres, order, max_rules=120, max_steps=4000), last_rules
+
+        rewrite._automaton.cache_clear()
+        with_automaton = complete()
+        assert rewrite._automaton.cache_info().hits > 0
+        assert with_automaton[0].stats.steps == 4001
+        monkeypatch.setattr(rewrite, "FIND_SCAN_MAX_RULES", 120)  # above every list
+        assert complete() == with_automaton
 
     def test_later_rule_renormalizes_an_older_rhs(self):
         # a -> b is installed before b -> 1, whose lhs then occurs in that rhs

@@ -1,14 +1,16 @@
 """Seeded property tests for the shared building blocks: the one reduction
-loop and its trace, the system and presentation file formats, the
-shortlex enumerator behind ``enumerate_elements``, the certificates of
-the equality oracle, the weighted-shortlex reduction order and its
-search, and the Dehn tables' distance search."""
+loop, its trace and its two matchers, the system and presentation file
+formats, the shortlex enumerator behind ``enumerate_elements``, the
+certificates of the equality oracle, the weighted-shortlex reduction order
+and its search, and the Dehn tables' distance search."""
 
 import itertools
+from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from rewritekit import rewrite
 from rewritekit.analysis import dehn_table, enumerate_elements, equal_in_monoid
 from rewritekit.rewrite import (
     FuelExhausted,
@@ -17,6 +19,8 @@ from rewritekit.rewrite import (
     ReductionOrder,
     Rule,
     RewritingSystem,
+    _Automaton,
+    _leftmost_match,
     _reduce,
     compare,
     find_termination_order,
@@ -71,6 +75,34 @@ def test_normal_form_trace_replays_the_reduction(system, data):
         assert normal_form(system, w, fuel=len(trace.steps))[0] == nf
         with pytest.raises(FuelExhausted):
             _reduce(system.rule_pairs(), w, len(trace.steps) - 1)
+
+
+@given(st.lists(st.tuples(_words("ab", 1, 4), _words("abx", 0, 3)), max_size=24),
+       _words("abx", 0, 12), st.integers(0, 30))
+@example([("abb", ""), ("b", "a")], "xabbx", 5)  # a match inside a longer one
+@example([("aaba", ""), ("ab", "b")], "aabx", 5)  # a match that ends a longer prefix
+@example([("abb", "a"), ("ab", "")], "abb", 5)  # the same start, a lower index
+@example([("ab", "a"), ("ab", "")], "bab", 5)  # a repeated lhs
+@example([("ab", "a")], "", 5)
+@example([], "ab", 5)
+def test_automaton_matches_like_the_find_scan(pairs, w, fuel):
+    """The automaton finds the match the per-rule ``str.find`` scan finds,
+    and ``_reduce`` gives the same normal form and trace, or runs out of
+    the same fuel at the same word, with either matcher.  The lhs words
+    share the letters a and b, so one often lies inside another or
+    repeats with a different rhs; no lhs uses x."""
+    assert _Automaton(tuple(lhs for lhs, _ in pairs)).match(w, [0], 0) == \
+        _leftmost_match(pairs, w)
+
+    def reduced(cutoff):
+        trace = []
+        with patch.object(rewrite, "FIND_SCAN_MAX_RULES", cutoff):
+            try:
+                return _reduce(pairs, w, fuel, trace), trace
+            except FuelExhausted as exc:
+                return exc.args, trace
+
+    assert reduced(-1) == reduced(len(pairs))
 
 
 @given(_systems())
