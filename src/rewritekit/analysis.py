@@ -11,7 +11,9 @@ certificate, a definite "not connected within the bound", or an
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import repeat
+from functools import reduce
+from itertools import accumulate, repeat
+from operator import or_
 from typing import Optional
 
 from .confluence import knuth_bendix
@@ -324,12 +326,12 @@ def _measure_class(rules, seeds, cap: int, node_budget: int,
 
     The seeds must be distinct and in nondecreasing length: they hold ids
     0..n_seeds-1 in that order, and the sweep's roots rely on it.
+    ``max_d_at`` may already hold the figures of the table's earlier
+    classes: the distance pass reads them as floors of the rows.
     """
     words = list(seeds)
     id_of = {w: i for i, w in enumerate(words)}
     n_seeds = len(words)
-    if n_seeds < 2:
-        return True  # a lone seed has no pair
     adj: list = [None] * n_seeds
     whole = True
 
@@ -399,16 +401,27 @@ def _measure_class(rules, seeds, cap: int, node_budget: int,
     # meets at level k = ceil(d / 2): on a word one seed reaches newly and
     # the other earlier if d = 2k - 1, or on one both reach newly if d = 2k,
     # which a pair at 2k - 1 may share too, so odd meets count first.  A
-    # seed stops spreading once all its pairs are known.  The classes are
-    # disjoint components, so they share the marks without clearing them
+    # seed stops spreading once each of its pairs is known: met, or settled
+    # by a triangle bound (below).  The classes are disjoint components, so
+    # they share the marks without clearing them
     seen = [0] * len(words)
     fresh = [0] * len(words)
     for members in classes.values():
         m = len(members)
+        # the b-th seed pairs with the b seeds before it, at its own length
+        for b, u in enumerate(members):
+            pairs_at[len(words[u])] += b
         if m == 1:
             continue
         full = active = (1 << m) - 1
         known = [1 << b for b in range(m)]  # each seed and its known partners
+        # a pair's first meet at d bounds its distance from above, and is
+        # its distance while both seeds search (only a settled pair can meet
+        # after one of them has stopped).  ring[b][d] lists the seeds that b
+        # first met at d, and bit c of ball[d][b] marks a seed c that b
+        # first met at d or less
+        ring = [[[b]] for b in range(m)]
+        ball = [[1 << b for b in range(m)]]
         for b, u in enumerate(members):
             seen[u] = 1 << b
         level = members
@@ -449,19 +462,51 @@ def _measure_class(rules, seeds, cap: int, node_budget: int,
                     odd[b] |= e
                     even[b] |= f
             # both seeds of a pair see its meets (an odd one on either side of
-            # a shortest path's middle), so each counts its lower partners
+            # a shortest path's middle) while both search, and the longer
+            # seed raises the row at its length by each pair not yet known
             for d, hits in ((2 * k - 1, odd), (2 * k, even)):
+                inner = ball[-1]
+                ball.append(outer := [])
                 for b, u in enumerate(members):
+                    first = hits[b] & ~inner[b]
+                    outer.append(inner[b] | first)
+                    ring[b].append(met := [])
+                    while first:
+                        c = first.bit_length() - 1
+                        first ^= 1 << c
+                        met.append(c)
                     new = hits[b] & ~known[b]
                     if new:
                         known[b] |= new
-                        lower = new & ((1 << b) - 1)
-                        if lower:
+                        if new & ((1 << b) - 1):
                             t = len(words[u])
-                            pairs_at[t] += lower.bit_count()
                             max_d_at[t] = max(max_d_at[t], d)
-                        if known[b] == full:
-                            active &= ~(1 << b)
+            # the rows take a running max, so reach[t], the largest distance
+            # met at length t or below, is at most the final row at t and at
+            # every greater length: no pair of b's that some seed w bounds
+            # within reach[|b|], by d(b, w) + d(w, c), can raise its row, and
+            # it is settled for both of its seeds without a meet.  Every open
+            # pair is more than 2k apart, so none is settled below 2k + 1
+            reach = list(accumulate(max_d_at, max))
+            g = active
+            while g:
+                b = g.bit_length() - 1
+                g ^= 1 << b
+                r = reach[len(words[members[b]])]
+                open_ = full & ~known[b]
+                if open_ and r > 2 * k:
+                    near = 0  # the seeds within r of b through a met seed
+                    for d in range(1, min(r, 2 * k + 1)):
+                        rest = ball[min(r - d, 2 * k)]
+                        near = reduce(or_, map(rest.__getitem__, ring[b][d]),
+                                      near)
+                    settled = near & open_
+                    known[b] |= settled
+                    while settled:
+                        c = settled.bit_length() - 1
+                        settled ^= 1 << c
+                        known[c] |= 1 << b
+            active &= ~sum(1 << b for b in range(m) if known[b] == full)
             level = found
     return whole
 
@@ -502,12 +547,18 @@ def dehn_table(presentation: Presentation, n_max: int,
       once, gives the distances (the Dehn entries).  Each word carries a
       bitmask of the seeds that have reached it, and a pair's distance is
       read where its two searches first meet, so each seed searches about
-      half of its longest distance; a seed stops once all of its pairs are
-      known.
+      half of its longest distance.  A pair that cannot raise its row is
+      settled by a triangle bound instead of searched: the rows take a
+      running max, so the largest distance met so far at the longer
+      seed's length or below is a floor for the pair's row, and a seed
+      that both of the pair's seeds have met within that floor in all
+      bounds the pair's distance by it.  A seed stops once each of its
+      pairs has met or is settled.
 
     Distances and least caps within the length cap do not depend on the
     order in which words are found, so the rows are those of the whole
-    graph.
+    graph.  ``pairs_examined`` counts the pairs whose seeds share a
+    component, whether their distance was searched or settled.
 
     Trivial pairs (x, x) participate: their space requirement is |x|.
 

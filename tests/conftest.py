@@ -107,11 +107,13 @@ def bfs_distances(edges_by_node, src):
     return dist
 
 
-def reference_dehn_rows(equations, n_max, cap):
-    """Exhaustive rows from first principles: a BFS per seed for its
-    distances to the later seeds, and components recomputed under every
-    length cap for the least cap joining each pair."""
-    seeds = words_up_to("ab", n_max)
+def reference_dehn_rows(equations, n_max, cap, seeds=None):
+    """Rows from first principles: a BFS per seed for its distances to the
+    later seeds, and components recomputed under every length cap for the
+    least cap joining each pair.  The seeds default to every word up to
+    n_max; given ones must be distinct."""
+    if seeds is None:
+        seeds = words_up_to("ab", n_max)
     nodes, edges = bfs_graph(equations, seeds, cap)
     by_node = {}
     for a, b in edges:
@@ -144,8 +146,9 @@ def reference_dehn_rows(equations, n_max, cap):
     rows = []
     for n in range(1, n_max + 1):
         mine = [p for p in pairs if p[0] <= n]
+        floor = max((len(x) for x in seeds if len(x) <= n), default=0)
         rows.append(DehnSample(n, max((p[1] for p in mine), default=0),
-                               max([n] + [p[2] for p in mine]), len(mine), True))
+                               max([floor] + [p[2] for p in mine]), len(mine), True))
     return rows
 
 

@@ -23,7 +23,7 @@ from rewritekit.rewrite import (
     _reduce,
 )
 from rewritekit.confluence import knuth_bendix
-from rewritekit.words import _shortlex_words, alphabet
+from rewritekit.words import _random_words, _shortlex_words, alphabet
 from tests.conftest import (
     bfs_distances,
     bfs_graph,
@@ -557,6 +557,49 @@ class TestOnDemandGraph:
         table = dehn_table(pres, 7, node_budget=30)
         assert all(r.exhaustive and not r.truncated for r in table)
         assert table == dehn_table(pres, 7)
+
+
+class TestSettledPairs:
+    # the distance pass settles a pair without a meet when a seed met at
+    # both of its ends bounds it within the row it would raise.  Settling
+    # fires on each of these tables: it settles 1,744 pairs on (1,1,1,1)
+    # n = 8, 68 on (2,2,2,2) n = 9 and 3 on the unpruned (1,3,2,2) n = 8
+    @pytest.mark.parametrize("exponents, n",
+                             [((1, 1, 1, 1), 8), ((2, 2, 2, 2), 9),
+                              ((1, 3, 2, 2), 8)])
+    def test_rows_equal_the_reference(self, exponents, n):
+        pres = _family_presentation(exponents)
+        cap = n + analysis.default_slack(pres)
+        assert dehn_table(pres, n) == reference_dehn_rows(pres.equations, n, cap)
+
+    def test_random_rows_equal_the_reference(self):
+        # 44 of this table's pairs are settled
+        pres = _family_presentation((1, 1, 1, 1))
+        n, count, seed = 9, 200, 1
+        seeds = sorted(set(_random_words("ab", count, 1, n, seed)),
+                       key=lambda w: (len(w), w))
+        table = dehn_table(pres, n, sample_count=count, seed=seed)
+        cap = n + analysis.default_slack(pres)
+        assert _rows(table) == \
+            _rows(reference_dehn_rows(pres.equations, n, cap, seeds))
+        assert not any(r.exhaustive or r.truncated for r in table)
+
+    def test_words_expanded(self, monkeypatch):
+        # searching every pair until it met expanded 87,866 words on
+        # (1,1,1,1) n = 10; settling the pairs that cannot raise their row
+        # expands 45,718.  Only the sweep, the settle rule or a change to
+        # the graph itself may move the count
+        pres = _family_presentation((1, 1, 1, 1))
+        neighbors, expanded = analysis._neighbors, []
+
+        def recorded(rules, w, cap):
+            expanded.append(w)
+            return neighbors(rules, w, cap)
+
+        monkeypatch.setattr(analysis, "_neighbors", recorded)
+        table = dehn_table(pres, 10)
+        assert (table[-1].dehn, table[-1].pairs_examined) == (16, 32974)
+        assert len(expanded) == len(set(expanded)) == 45_718
 
 
 _DEFAULT_SLACK_TABLES = [
