@@ -11,9 +11,7 @@ certificate, a definite "not connected within the bound", or an
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from itertools import accumulate, repeat
-from operator import or_
 from typing import Optional
 
 from .confluence import knuth_bendix
@@ -331,23 +329,46 @@ def _measure_class(rules, seeds, cap: int, node_budget: int,
     """
     words = list(seeds)
     id_of = {w: i for i, w in enumerate(words)}
-    n_seeds = len(words)
-    adj: list = [None] * n_seeds
-    whole = True
+    adj: list = [None] * len(words)
 
-    # space: a union-find search from the seeds, level by level.  Level L
-    # expands every word that words no longer than L join to a seed, and no
-    # other: a word found no longer than the level joins the level's bucket,
-    # which grows while it is walked, and a longer one waits in its own.  An
-    # edge becomes usable when its later endpoint activates, so unioning on
-    # activation makes the level the exact minimax requirement for every
-    # pair the union newly connects.  parent[j] is -1 until j activates,
-    # and a union links under the lesser root, so a root is its class's
-    # least id.  The seeds hold ids 0..n_seeds-1 in nondecreasing length,
-    # so a root is below n_seeds exactly when its class holds a seed, and
-    # is then its shortest seed: a union of two seed classes has threshold
-    # |words[j]| for the greater root j.  After n_seeds - 1 such unions
-    # every seed shares one component, and the search stops.
+    def grow(batch):
+        return _explore(rules, batch, words, id_of, adj, cap, node_budget)
+
+    classes, whole = _space_sweep(grow, words, cap, space_at)
+    return _distance_pass(grow, words, adj, classes, max_d_at, pairs_at) and whole
+
+
+def _space_sweep(grow, words: list[Word], cap: int, space_at: list[int]):
+    """Raise ``space_at`` to the least length caps under which the seeds,
+    the ``words`` on entry, connect, and group the seeds by component.
+    ``grow(batch)`` is :func:`_explore` on the class's graph: it expands
+    the words whose ids are in ``batch``, and appends the words it finds.
+
+    A union-find search from the seeds takes words in order of length and
+    gives, for every pair of seeds, the least length cap under which the
+    pair connects; ``space_at`` keeps the largest at the longer seed's
+    length.  It stops at the first level where all the seeds share one
+    component.
+
+    Level L expands every word that words no longer than L join to a seed,
+    and no other: a word found no longer than the level joins the level's
+    bucket, which grows while it is walked, and a longer one waits in its
+    own.  An edge becomes usable when its later endpoint activates, so
+    unioning on activation makes the level the exact minimax requirement
+    for every pair the union newly connects.  ``parent[j]`` is -1 until j
+    activates, and a union links under the lesser root, so a root is its
+    class's least id.  The seeds hold ids 0..n_seeds-1 in nondecreasing
+    length, so a root is below n_seeds exactly when its class holds a seed,
+    and is then its shortest seed: a union of two seed classes has
+    threshold |words[j]| for the greater root j.  After n_seeds - 1 such
+    unions every seed shares one component, and the search stops.
+
+    Returns ``(classes, whole)``: the seeds' ids by the root of their
+    component, ascending within each, and False when ``grow`` dropped a
+    word.
+    """
+    n_seeds = len(words)
+    whole = True
     parent = [-1] * n_seeds
     buckets: list[list[int]] = [[] for _ in range(cap + 1)]
     for i, w in enumerate(words):
@@ -358,8 +379,7 @@ def _measure_class(rules, seeds, cap: int, node_budget: int,
         while joins_left and pos < len(bucket):
             batch = bucket[pos:]
             pos = len(bucket)
-            added, rows, ok = _explore(rules, batch, words, id_of, adj, cap,
-                                       node_budget)
+            added, rows, ok = grow(batch)
             whole &= ok
             parent.extend(repeat(-1, len(added)))
             for j in added:
@@ -386,51 +406,58 @@ def _measure_class(rules, seeds, cap: int, node_budget: int,
                     break
         bucket.clear()  # no later level reads it
 
-    # dehn: seeds grouped by root, ascending ids within each class
+    # every parent precedes its child, so in id order each seed's parent
+    # already holds its root
     classes: dict[int, list[int]] = {}
     for u in range(n_seeds):
-        r = u
-        while parent[r] != r:
-            r = parent[r]
+        parent[u] = r = parent[parent[u]]
         classes.setdefault(r, []).append(u)
-    del parent, buckets
+    return classes, whole
 
-    # one BFS per class from all its seeds at once, level by level.  Bit b
-    # of seen[w] marks the class's b-th seed as reaching word w before
-    # level k, and bit b of fresh[w] at level k.  A pair at distance d first
-    # meets at level k = ceil(d / 2): on a word one seed reaches newly and
-    # the other earlier if d = 2k - 1, or on one both reach newly if d = 2k,
-    # which a pair at 2k - 1 may share too, so odd meets count first.  A
-    # seed stops spreading once each of its pairs is known: met, or settled
-    # by a triangle bound (below).  The classes are disjoint components, so
-    # they share the marks without clearing them
-    seen = [0] * len(words)
-    fresh = [0] * len(words)
+
+def _distance_pass(grow, words: list[Word], adj: list, classes: dict[int, list[int]],
+                   max_d_at: list[int], pairs_at: list[int]) -> bool:
+    """Raise ``max_d_at`` to the distances of the seed pairs within each of
+    the sweep's ``classes``, and count those pairs in ``pairs_at``; False
+    when ``grow`` (as in :func:`_space_sweep`) dropped a word.  ``adj[i]``
+    is word i's row once it is expanded.
+
+    One breadth-first search per class from all its seeds at once, level
+    by level.  Bit b of ``seen[w]`` marks the class's b-th seed as reaching
+    word w before level k, and bit b of ``fresh[w]`` at level k.  A pair at
+    distance d first meets at level k = ceil(d / 2): on a word one seed
+    reaches newly and the other earlier if d = 2k - 1, or on one both reach
+    newly if d = 2k, which a pair at 2k - 1 may share too, so odd meets
+    count first, and each seed searches about half of its longest
+    distance.  A pair's first meet at d bounds its distance from above, and
+    is its distance while both seeds search: only a settled pair can meet
+    after one of them has stopped.  Bit c of ``ball[d][b]`` marks a seed c
+    that b met at d or less, from meets only, never from settlements.
+
+    A seed stops spreading once each of its pairs is known: met, or
+    settled by :func:`_settled`.  The b-th seed of a class pairs with the b
+    seeds before it, at its own length, so ``pairs_at`` counts a pair
+    whether it was searched or settled.  The classes are disjoint
+    components, so they share the marks without clearing them.
+    """
+    whole = True
+    seen, fresh = [0] * len(words), [0] * len(words)
     for members in classes.values():
         m = len(members)
-        # the b-th seed pairs with the b seeds before it, at its own length
         for b, u in enumerate(members):
             pairs_at[len(words[u])] += b
+            seen[u] = 1 << b
         if m == 1:
             continue
         full = active = (1 << m) - 1
         known = [1 << b for b in range(m)]  # each seed and its known partners
-        # a pair's first meet at d bounds its distance from above, and is
-        # its distance while both seeds search (only a settled pair can meet
-        # after one of them has stopped).  ring[b][d] lists the seeds that b
-        # first met at d, and bit c of ball[d][b] marks a seed c that b
-        # first met at d or less
-        ring = [[[b]] for b in range(m)]
-        ball = [[1 << b for b in range(m)]]
-        for b, u in enumerate(members):
-            seen[u] = 1 << b
+        ball = [known.copy()]
         level = members
         k = 0
         while active:
             k += 1
             batch = [i for i in level if adj[i] is None and seen[i] & active]
-            added, _, ok = _explore(rules, batch, words, id_of, adj, cap,
-                                    node_budget)
+            added, _, ok = grow(batch)
             whole &= ok
             seen.extend(repeat(0, len(added)))
             fresh.extend(repeat(0, len(added)))
@@ -465,42 +492,22 @@ def _measure_class(rules, seeds, cap: int, node_budget: int,
             # a shortest path's middle) while both search, and the longer
             # seed raises the row at its length by each pair not yet known
             for d, hits in ((2 * k - 1, odd), (2 * k, even)):
-                inner = ball[-1]
-                ball.append(outer := [])
+                ball.append([a | h for a, h in zip(ball[-1], hits)])
                 for b, u in enumerate(members):
-                    first = hits[b] & ~inner[b]
-                    outer.append(inner[b] | first)
-                    ring[b].append(met := [])
-                    while first:
-                        c = first.bit_length() - 1
-                        first ^= 1 << c
-                        met.append(c)
                     new = hits[b] & ~known[b]
                     if new:
                         known[b] |= new
                         if new & ((1 << b) - 1):
                             t = len(words[u])
                             max_d_at[t] = max(max_d_at[t], d)
-            # the rows take a running max, so reach[t], the largest distance
-            # met at length t or below, is at most the final row at t and at
-            # every greater length: no pair of b's that some seed w bounds
-            # within reach[|b|], by d(b, w) + d(w, c), can raise its row, and
-            # it is settled for both of its seeds without a meet.  Every open
-            # pair is more than 2k apart, so none is settled below 2k + 1
             reach = list(accumulate(max_d_at, max))
             g = active
             while g:
                 b = g.bit_length() - 1
                 g ^= 1 << b
-                r = reach[len(words[members[b]])]
                 open_ = full & ~known[b]
-                if open_ and r > 2 * k:
-                    near = 0  # the seeds within r of b through a met seed
-                    for d in range(1, min(r, 2 * k + 1)):
-                        rest = ball[min(r - d, 2 * k)]
-                        near = reduce(or_, map(rest.__getitem__, ring[b][d]),
-                                      near)
-                    settled = near & open_
+                if open_:
+                    settled = _settled(ball, b, reach[len(words[members[b]])], open_)
                     known[b] |= settled
                     while settled:
                         c = settled.bit_length() - 1
@@ -509,6 +516,33 @@ def _measure_class(rules, seeds, cap: int, node_budget: int,
             active &= ~sum(1 << b for b in range(m) if known[b] == full)
             level = found
     return whole
+
+
+def _settled(ball: list[list[int]], b: int, reach: int, open_: int) -> int:
+    """The mask of seed b's ``open_`` partners that a triangle bound settles:
+    the one place where a pair becomes known without a meet.
+
+    ``ball[d][b]`` marks the seeds that b has met within d, for d up to
+    the search's last distance.  ``reach`` is the largest distance met at
+    |b| or below, in this class or an earlier one.  The rows take a running
+    max, so reach is at most the final row at |b| and at every greater
+    length: a partner c that some seed w bounds within reach, by
+    d(b, w) + d(w, c), cannot raise its row, and is settled for both of
+    its seeds.  Every open pair is farther apart than the last distance, so
+    none is settled unless reach exceeds it.
+    """
+    top = len(ball) - 1
+    if reach <= top:
+        return 0
+    near = 0  # the seeds within reach of b through a seed b met
+    for d in range(1, top + 1):
+        first = ball[d][b] & ~ball[d - 1][b]  # the seeds b first met at d
+        rest = ball[min(reach - d, top)]
+        while first:
+            c = first.bit_length() - 1
+            first ^= 1 << c
+            near |= rest[c]
+    return near & open_
 
 
 def dehn_table(presentation: Presentation, n_max: int,
@@ -532,28 +566,11 @@ def dehn_table(presentation: Presentation, n_max: int,
     and freed before the next one (:func:`_measure_class`), so only one
     class's graph is held at a time.  Two passes give its figures, and a
     word's neighbours are found (:func:`_explore`) only when one of them
-    first needs them:
-
-    - a union-find search from the seeds takes words in order of length
-      and gives, for every equal pair, the least length cap under which
-      the pair connects (the space entries, each the max over the
-      classes).  At level L it has expanded exactly the words that words
-      no longer than L join to a seed, so it sees the components of the
-      seeds under cap L; it stops at the first level where all the
-      group's seeds share one component.  Each union links under the
-      lesser id, so the root of a component that holds a seed is its
-      shortest seed, and the seeds' roots name the components;
-    - one breadth-first search per component, from all of its seeds at
-      once, gives the distances (the Dehn entries).  Each word carries a
-      bitmask of the seeds that have reached it, and a pair's distance is
-      read where its two searches first meet, so each seed searches about
-      half of its longest distance.  A pair that cannot raise its row is
-      settled by a triangle bound instead of searched: the rows take a
-      running max, so the largest distance met so far at the longer
-      seed's length or below is a floor for the pair's row, and a seed
-      that both of the pair's seeds have met within that floor in all
-      bounds the pair's distance by it.  A seed stops once each of its
-      pairs has met or is settled.
+    first needs them: a union-find sweep gives the space entries and the
+    seeds' components (:func:`_space_sweep`), and one breadth-first search
+    per component, from all of its seeds at once, gives the Dehn entries
+    (:func:`_distance_pass`), settling the pairs that cannot raise their
+    row by a triangle bound instead of searching them (:func:`_settled`).
 
     Distances and least caps within the length cap do not depend on the
     order in which words are found, so the rows are those of the whole

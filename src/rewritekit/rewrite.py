@@ -30,7 +30,12 @@ MAX_WEIGHT = 8  # the termination-order search's default weight cap
 # Rule lists up to this length are matched by str.find, longer ones by an
 # automaton.  On recorded completion calls the automaton, once built, runs
 # at 0.8-0.9x the find scan's speed at 4-7 rules and 1.5-3x from 16 rules
-# up; a build costs about 25 us at 8 rules and 270 us at 48.
+# up; a build costs about 25 us at 8 rules and 270 us at 48.  Both matchers
+# stay, chosen by this size: completion reduces many words against one long
+# list, where the automaton wins, while certifying a family system reduces
+# against a new list of 1-6 rules, where a build (6-9 us at 1-4 rules)
+# costs more than the scans it saves.  With every list on the automaton,
+# the benchmark's `certify` median query time rose by about 22%.
 FIND_SCAN_MAX_RULES = 16
 
 

@@ -559,21 +559,37 @@ class TestOnDemandGraph:
         assert table == dehn_table(pres, 7)
 
 
+@pytest.fixture()
+def settled_pairs(monkeypatch):
+    """How many pairs the triangle rule settles while it is in use."""
+    settled = [0]
+    settle = analysis._settled
+
+    def counted(*args):
+        mask = settle(*args)
+        settled[0] += mask.bit_count()
+        return mask
+
+    monkeypatch.setattr(analysis, "_settled", counted)
+    return settled
+
+
 class TestSettledPairs:
     # the distance pass settles a pair without a meet when a seed met at
-    # both of its ends bounds it within the row it would raise.  Settling
-    # fires on each of these tables: it settles 1,744 pairs on (1,1,1,1)
-    # n = 8, 68 on (2,2,2,2) n = 9 and 3 on the unpruned (1,3,2,2) n = 8
-    @pytest.mark.parametrize("exponents, n",
-                             [((1, 1, 1, 1), 8), ((2, 2, 2, 2), 9),
-                              ((1, 3, 2, 2), 8)])
-    def test_rows_equal_the_reference(self, exponents, n):
+    # both of its ends bounds it within the row it would raise.  Each table
+    # pins how many pairs it settles, so a rule that never fires fails here
+    @pytest.mark.parametrize("exponents, n, settled", [
+        pytest.param((1, 1, 1, 1), 8, 1744, id="exponents0-8"),
+        pytest.param((2, 2, 2, 2), 9, 68, id="exponents1-9"),
+        pytest.param((1, 3, 2, 2), 8, 3, id="exponents2-8")])
+    def test_rows_equal_the_reference(self, exponents, n, settled,
+                                      settled_pairs):
         pres = _family_presentation(exponents)
         cap = n + analysis.default_slack(pres)
         assert dehn_table(pres, n) == reference_dehn_rows(pres.equations, n, cap)
+        assert settled_pairs == [settled]
 
-    def test_random_rows_equal_the_reference(self):
-        # 44 of this table's pairs are settled
+    def test_random_rows_equal_the_reference(self, settled_pairs):
         pres = _family_presentation((1, 1, 1, 1))
         n, count, seed = 9, 200, 1
         seeds = sorted(set(_random_words("ab", count, 1, n, seed)),
@@ -583,12 +599,13 @@ class TestSettledPairs:
         assert _rows(table) == \
             _rows(reference_dehn_rows(pres.equations, n, cap, seeds))
         assert not any(r.exhaustive or r.truncated for r in table)
+        assert settled_pairs == [44]
 
-    def test_words_expanded(self, monkeypatch):
+    def test_words_expanded(self, monkeypatch, settled_pairs):
         # searching every pair until it met expanded 87,866 words on
-        # (1,1,1,1) n = 10; settling the pairs that cannot raise their row
-        # expands 45,718.  Only the sweep, the settle rule or a change to
-        # the graph itself may move the count
+        # (1,1,1,1) n = 10; settling 28,479 pairs that cannot raise their
+        # row expands 45,718.  Only the sweep, the settle rule or a change
+        # to the graph itself may move the counts
         pres = _family_presentation((1, 1, 1, 1))
         neighbors, expanded = analysis._neighbors, []
 
@@ -600,6 +617,7 @@ class TestSettledPairs:
         table = dehn_table(pres, 10)
         assert (table[-1].dehn, table[-1].pairs_examined) == (16, 32974)
         assert len(expanded) == len(set(expanded)) == 45_718
+        assert settled_pairs == [28_479]
 
 
 _DEFAULT_SLACK_TABLES = [
