@@ -208,7 +208,9 @@ def equal_in_monoid(presentation: Presentation, x: Word, y: Word,
     ``inconclusive``.  Otherwise the cap deepens one letter at a time from
     ``max(|x|, |y|)``, up to the first answer's ``s`` when it is ``equal``
     and up to ``bound`` when it is ``inconclusive``, and the first answer
-    that is not ``unequal-within-bound`` is returned.
+    that is not ``unequal-within-bound`` is returned.  The last cap always
+    gives one: the first answer's chain fits under ``s``, and at ``bound``
+    the first answer itself is returned.
     """
     presentation.alphabet.validate_word(x)
     presentation.alphabet.validate_word(y)
@@ -221,12 +223,11 @@ def equal_in_monoid(presentation: Presentation, x: Word, y: Word,
     if minimize == "steps" or outcome.status == "unequal-within-bound":
         return outcome
     top = outcome.certificate.s if outcome.certificate else bound
-    for cap in range(max(len(x), len(y)), top + 1):
-        found = (outcome if cap == bound
-                 else _bidirectional_search(rules, x, y, cap, node_budget))
+    for cap in range(max(len(x), len(y)), top):
+        found = _bidirectional_search(rules, x, y, cap, node_budget)
         if found.status != "unequal-within-bound":
             return found
-    return outcome
+    return outcome if top == bound else _bidirectional_search(rules, x, y, top, node_budget)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ elements are compared through their normal forms under that system.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from typing import Mapping, Optional
 
 from .family import certify_family_system, classify, one_relator_presentation
@@ -63,9 +62,9 @@ def apply_substitution(phi: EndomorphismSpec, w: Word) -> Word:
 
 
 def _normal_forms(system: RewritingSystem, fuel: int = DEFAULT_FUEL):
-    """Memoized normal forms under a fixed system (hot path for searches)."""
+    """The normal-form function of a fixed system."""
     pairs = system.rule_pairs()
-    return cache(lambda w: _reduce(pairs, w, fuel))
+    return lambda w: _reduce(pairs, w, fuel)
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,13 @@ position, and among rules matching there, the one with the lowest index
 wins.  On a complete system the normal form is strategy-independent, so
 this choice only pins down traces and makes every run reproducible.
 
-Two matchers implement it, chosen by the rule list's length alone.  Lists
-of up to ``FIND_SCAN_MAX_RULES`` rules are scanned with one ``str.find``
-per rule.  Longer ones, such as the growing rule lists of Knuth-Bendix
-completion, are matched by an Aho-Corasick automaton over their lhs words,
-which reads each letter once and resumes where the last rewrite happened.
+Two matchers implement it, chosen by the rule list's shape.  An
+Aho-Corasick automaton over the lhs words reads each letter once and
+resumes where the last rewrite happened.  It takes the lists longer than
+``FIND_SCAN_MAX_RULES`` that are flat: no lhs ends inside another, so the
+first match it reads is the leftmost.  Every other list is scanned with one
+``str.find`` per rule.  Knuth-Bendix completion keeps its rules
+inter-reduced, so its growing lists are always flat.
 """
 
 from __future__ import annotations
@@ -27,11 +29,13 @@ LESS, GREATER = -1, 1  # compare() returns 0 only for identical words
 
 DEFAULT_FUEL = 10**6
 MAX_WEIGHT = 8  # the termination-order search's default weight cap
-# Rule lists up to this length are matched by str.find, longer ones by an
-# automaton.  On recorded completion calls the automaton, once built, runs
-# at 0.8-0.9x the find scan's speed at 4-7 rules and 1.5-3x from 16 rules
-# up; a build costs about 25 us at 8 rules and 270 us at 48.  Both matchers
-# stay, chosen by this size: completion reduces many words against one long
+# Rule lists up to this length are matched by str.find, longer flat ones
+# (no lhs ends inside another) by an automaton; completion's lists are
+# flat, since it keeps each lhs a normal form of the other rules.  On
+# recorded completion calls the automaton, once built, runs at 0.8-0.9x
+# the find scan's speed at 4-7 rules and 1.5-3x from 16 rules up; a build
+# costs about 25 us at 8 rules and 270 us at 48.  Both matchers stay,
+# chosen by this size: completion reduces many words against one long
 # list, where the automaton wins, while certifying a family system reduces
 # against a new list of 1-6 rules, where a build (6-9 us at 1-4 rules)
 # costs more than the scans it saves.  With every list on the automaton,
@@ -182,7 +186,7 @@ def _leftmost_match(pairs, w: Word) -> tuple[int, int]:
 class _Automaton:
     """Aho-Corasick automaton over a rule list's lhs words (Aho & Corasick,
     *CACM* 18(6), 1975), matching by the same strategy as
-    :func:`_leftmost_match`.
+    :func:`_leftmost_match` on a flat list.
 
     ``goto[c][s]`` is the state reached from state ``s`` by letter ``c``;
     a letter that no lhs uses leads to the root, state 0.
@@ -190,10 +194,11 @@ class _Automaton:
     into ``s`` (0 if none), and ``out_idx[s]`` that lhs's lowest rule index.
     ``nested`` says some lhs ends before the end of a longer one.  Only
     then can a match that ends later start sooner, or at the same place
-    with a lower index, than the first match the scan reads.
+    with a lower index, than the first match the scan reads, so only a
+    flat list, one that is not nested, may be matched by :meth:`match`.
     """
 
-    __slots__ = ("goto", "out_len", "out_idx", "max_len", "nested")
+    __slots__ = ("goto", "out_len", "out_idx", "nested")
 
     def __init__(self, lhss) -> None:
         children: list[dict[str, int]] = [{}]  # the trie, dropped once built
@@ -229,56 +234,44 @@ class _Automaton:
             if out_len[s] and children[s]:  # an lhs ends inside a longer one
                 nested = True
         self.goto, self.out_len, self.out_idx = goto, out_len, out_idx
-        self.max_len = max(map(len, lhss), default=0)
         self.nested = nested
 
     def match(self, w: Word, states: list[int], resume: int) -> tuple[int, int]:
         """(position, rule index) of the leftmost lowest-index match, or
-        (-1, -1).  ``states[i]`` is the state after ``w[:i]`` for every
-        ``i <= resume``: the scan drops the later states, resumes after
-        ``w[:resume]`` and appends the states it reads."""
+        (-1, -1), on a flat list.  ``states[i]`` is the state after
+        ``w[:i]`` for every ``i <= resume``: the scan drops the later
+        states, resumes after ``w[:resume]`` and appends the states it
+        reads."""
         goto, out_len = self.goto, self.out_len
         del states[resume + 1:]
-        end = resume
-        s = states[end]
+        s = states[resume]
         append = states.append
-        for c in w[end:]:
+        for c in w[resume:]:
             try:
                 s = goto[c][s]
             except KeyError:
                 s = 0
             append(s)
             if out_len[s]:
-                break
-        else:
-            return -1, -1
-        end = len(states) - 1
-        pos, idx = end - out_len[s], self.out_idx[s]
-        if self.nested:
-            # a better match ends later but starts no later than pos, so
-            # it ends within max_len of pos
-            for c in w[end:pos + self.max_len]:
-                try:
-                    s = goto[c][s]
-                except KeyError:
-                    s = 0
-                append(s)
-                end += 1
-                if out_len[s] and (end - out_len[s], self.out_idx[s]) < (pos, idx):
-                    pos, idx = end - out_len[s], self.out_idx[s]
-        return pos, idx
+                return len(states) - 1 - out_len[s], self.out_idx[s]
+        return -1, -1
 
 
 @lru_cache(maxsize=4)
-def _automaton(lhss: tuple[Word, ...]) -> _Automaton:
-    """The automaton over ``lhss``.  Completion reduces many words against
-    one rule list before the list changes, so the last few are kept."""
-    return _Automaton(lhss)
+def _automaton(lhss: tuple[Word, ...]) -> Optional[_Automaton]:
+    """The automaton over ``lhss``, or None if the list is nested.
+    Completion reduces many words against one rule list before the list
+    changes, so the last few answers are kept."""
+    automaton = _Automaton(lhss)
+    return None if automaton.nested else automaton
 
 
-def _matcher(pairs):
-    """The automaton for rule lists longer than ``FIND_SCAN_MAX_RULES``,
-    else None: shorter lists are matched by :func:`_leftmost_match`."""
+def _matcher(pairs) -> Optional[_Automaton]:
+    """The automaton for flat rule lists longer than
+    ``FIND_SCAN_MAX_RULES``, else None: shorter lists, and nested ones,
+    where a match that ends later can start sooner, are matched by
+    :func:`_leftmost_match`.  Completion's lists are flat, since it keeps
+    every lhs a normal form of the other rules."""
     if len(pairs) > FIND_SCAN_MAX_RULES:
         return _automaton(tuple([lhs for lhs, _ in pairs]))
     return None
@@ -291,9 +284,7 @@ def rewrite_step(system: RewritingSystem, w: Word) -> Optional[tuple[Word, int, 
     normal form.
     """
     pairs = system.rule_pairs()
-    automaton = _matcher(pairs)
-    pos, idx = (_leftmost_match(pairs, w) if automaton is None
-                else automaton.match(w, [0], 0))
+    pos, idx = _leftmost_match(pairs, w)
     if pos == -1:
         return None
     lhs, rhs = pairs[idx]
@@ -304,11 +295,11 @@ def _reduce(pairs, w: Word, fuel: int, trace: Optional[list] = None) -> Word:
     """Normal form of ``w``: the one reduction loop.  When ``trace`` is
     given, each step appends ``(rule index, position, word after)`` to it.
 
-    Lists of up to ``FIND_SCAN_MAX_RULES`` rules are matched by one
-    ``str.find`` per rule and step.  Longer ones are matched by an
-    Aho-Corasick automaton over their lhs words.  A rewrite at position p
-    leaves the states it read for ``w[:p]`` valid, so the next scan
-    resumes there.
+    Flat lists longer than ``FIND_SCAN_MAX_RULES`` rules, such as
+    completion's, are matched by an Aho-Corasick automaton over their lhs
+    words.  A rewrite at position p leaves the states it read for
+    ``w[:p]`` valid, so the next scan resumes there.  Other lists are
+    matched by one ``str.find`` per rule and step.
     """
     automaton = _matcher(pairs)
     states, pos = [0], 0

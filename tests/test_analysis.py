@@ -2,6 +2,7 @@ import json
 import math
 import random
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -77,6 +78,26 @@ class TestEqualInMonoid:
         _, pres, _ = demo
         with pytest.raises(ValueError):
             equal_in_monoid(pres, "abab", "b", 3)
+
+    def test_unknown_minimize_mode_is_rejected(self, demo):
+        _, pres, _ = demo
+        with pytest.raises(ValueError, match="unknown minimize mode 'time'"):
+            equal_in_monoid(pres, "abb", "b", 9, minimize="time")
+
+    @pytest.mark.parametrize("tamper", [
+        lambda c: replace(c, d=c.d + 1),
+        lambda c: replace(c, s=c.s + 1),
+        lambda c: replace(c, applications=((0, "rl", 5),) + c.applications[1:]),
+        lambda c: replace(c, applications=((0, "lr", 4),) + c.applications[1:]),
+        lambda c: replace(c, chain=c.chain[:-1] + ("babab",)),
+    ], ids=["d", "s", "position", "direction", "last-word"])
+    def test_replay_rejects_a_tampered_certificate(self, demo, tamper):
+        _, pres, _ = demo
+        cert = equal_in_monoid(pres, "abbab", "baabb", 40).certificate
+        assert (cert.chain, cert.applications, cert.d, cert.s) == (
+            ("abbab", "abbaabbaabb", "baabb"), ((0, "rl", 4), (0, "lr", 0)), 2, 11)
+        assert cert.replay(pres)
+        assert not tamper(cert).replay(pres)
 
     def test_certificate_replay_on_random_walks(self, demo):
         _, pres, params = demo
@@ -261,6 +282,11 @@ class TestDehn:
         with pytest.raises(ValueError):
             dehn_table(pres, 15)
         assert dehn_table(pres, 3, sample_count=5)  # no ceiling
+
+    def test_non_positive_n_is_rejected(self, demo):
+        _, pres, _ = demo
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            dehn_table(pres, 0)
 
     @pytest.mark.parametrize("count", [0, -2])
     def test_non_positive_sample_count_is_rejected(self, demo, count):
@@ -667,6 +693,11 @@ class TestEnumerateElements:
         with pytest.raises(ValueError):
             enumerate_elements(s, 2)
         assert enumerate_elements(s, 1, allow_uncertified=True) == ["", "a", "b"]
+
+    def test_negative_length_is_rejected(self, demo):
+        system, _, _ = demo
+        with pytest.raises(ValueError, match="max length must be >= 0"):
+            enumerate_elements(system, -1)
 
     def test_elements_are_exactly_irreducibles(self, demo):
         system, _, _ = demo

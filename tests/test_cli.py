@@ -88,6 +88,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["grid", "--checks", "bogus"],
+         "unknown check 'bogus'; known: ['completeness', 'dehn', 'equivalence', 'probe']"),
+        (["complete", "--presentation", PRES, "--order", "garbage"],
+         "bad order syntax: 'garbage'"),
+        (["complete", "--presentation", PRES, "--order",
+          "weights: a=0 b=1; precedence: a>b"], "weight of 'a' must be >= 1, got 0"),
+        (["complete", "--presentation", PRES, "--order",
+          "weights: a=1; precedence: a>a"], "precedence must list each letter once"),
+        (["complete", "--presentation", PRES, "--order",
+          "weights: a=1 b=1 c=1; precedence: a>b>c"],
+         "order letter 'c' not in presentation alphabet"),
+        (["endo", "--params", "1", "2", "2", "2", "--map", "ab"],
+         "bad image 'ab'; expected letter=word"),
+    ], ids=["check", "order-syntax", "weight", "precedence", "order-letter", "image"])
+    def test_usage_error_on_malformed_input(self, argv, message, pres_file, capsys):
+        assert cli.main([a.format(pres=pres_file) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("argv", [
         ["build", "--params", "1", "2", "2", "2", "--nodes", "0"],
         ["build", "--params", "1", "2", "2", "2", "--fuel", "0"],

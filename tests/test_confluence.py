@@ -210,6 +210,12 @@ class TestKnuthBendix:
         assert knuth_bendix(pres, order, max_rules=1, max_steps=1).outcome == \
             "limit-exceeded"
 
+    def test_non_positive_limits_rejected(self):
+        pres = rk.Presentation(AB, (("abab", "b"),))
+        order = ReductionOrder({"a": 1, "b": 1}, ("a", "b"))
+        with pytest.raises(ValueError, match="limits must be positive"):
+            knuth_bendix(pres, order, max_rules=0)
+
     @pytest.mark.parametrize("params, outcome, stats", [
         ((1, 1, 1, 1), "completed", (3, 2, 0, 3)),
         ((2, 2, 2, 2), "completed", (6, 4, 1, 6)),
@@ -234,7 +240,8 @@ class TestKnuthBendix:
         presentation under the default order (None), complete alike with
         the automaton on long rule lists and with the per-rule find scan on
         every list: the same report, and the same rules at the last
-        reduction."""
+        reduction.  Every automaton they use is flat, so none of their
+        long lists falls back to the find scan."""
         if params is None:
             pres, order = demo_presentation, ReductionOrder({"a": 1, "b": 1}, ("a", "b"))
         else:
@@ -252,9 +259,17 @@ class TestKnuthBendix:
             monkeypatch.setattr(confluence, "_reduce", recording)
             return knuth_bendix(pres, order, max_rules=120, max_steps=4000), last_rules
 
+        automata, build = [], rewrite._Automaton
+
+        def building(lhss):
+            automata.append(build(lhss))
+            return automata[-1]
+
         rewrite._automaton.cache_clear()
+        monkeypatch.setattr(rewrite, "_Automaton", building)
         with_automaton = complete()
         assert rewrite._automaton.cache_info().hits > 0
+        assert automata and not any(a.nested for a in automata)
         assert with_automaton[0].stats.steps == 4001
         monkeypatch.setattr(rewrite, "FIND_SCAN_MAX_RULES", 120)  # above every list
         assert complete() == with_automaton

@@ -1,7 +1,8 @@
 """Static scans of the source, by stdlib ``ast`` and ``tokenize`` since
 neither pyflakes nor ruff is a dependency: no module imports a name it
-never uses, and no module-level name of the package is left without a
-user."""
+never uses, no module-level name of the package is left without a user,
+and every module of the package parses under the oldest grammar that
+``pyproject.toml`` declares."""
 
 import ast
 import io
@@ -69,3 +70,15 @@ def test_no_dead_names():
                 if words[name] < 2 and not (name.startswith("__") and name.endswith("__")):
                     dead.append(f"{path.relative_to(ROOT)}:{node.lineno}: {name}")
     assert not dead, "names nothing uses:\n" + "\n".join(dead)
+
+
+def test_package_parses_under_the_declared_python_floor():
+    """Every package module parses under the grammar of the oldest Python
+    that ``requires-python`` admits (3.10).  This checks syntax only: a
+    stdlib function or module that the floor lacks still passes."""
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"',
+                      (ROOT / "pyproject.toml").read_text())
+    assert floor, "pyproject.toml declares no requires-python floor"
+    version = tuple(map(int, floor.groups()))
+    for path in sorted(PACKAGE.glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)

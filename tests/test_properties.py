@@ -19,8 +19,8 @@ from rewritekit.rewrite import (
     ReductionOrder,
     Rule,
     RewritingSystem,
-    _Automaton,
     _leftmost_match,
+    _matcher,
     _reduce,
     compare,
     find_termination_order,
@@ -86,13 +86,20 @@ def test_normal_form_trace_replays_the_reduction(system, data):
 @example([("ab", "a")], "", 5)
 @example([], "ab", 5)
 def test_automaton_matches_like_the_find_scan(pairs, w, fuel):
-    """The automaton finds the match the per-rule ``str.find`` scan finds,
-    and ``_reduce`` gives the same normal form and trace, or runs out of
-    the same fuel at the same word, with either matcher.  The lhs words
-    share the letters a and b, so one often lies inside another or
-    repeats with a different rhs; no lhs uses x."""
-    assert _Automaton(tuple(lhs for lhs, _ in pairs)).match(w, [0], 0) == \
-        _leftmost_match(pairs, w)
+    """With every list long enough for the automaton, ``_matcher`` gives
+    it exactly the flat lists, those in which no lhs ends inside another;
+    on those it finds the match the per-rule ``str.find`` scan finds.
+    ``_reduce`` gives the same normal form and trace, or runs out of the
+    same fuel at the same word, with or without the automaton.  The lhs
+    words share the letters a and b, so one often lies inside another or
+    repeats with a different rhs; no lhs uses x.  The first three
+    examples are nested lists, the repeated lhs a flat one."""
+    nested = any(u in v[:-1] for u, _ in pairs for v, _ in pairs)
+    with patch.object(rewrite, "FIND_SCAN_MAX_RULES", -1):
+        automaton = _matcher(pairs)
+    assert (automaton is None) == nested
+    if automaton is not None:
+        assert automaton.match(w, [0], 0) == _leftmost_match(pairs, w)
 
     def reduced(cutoff):
         trace = []

@@ -9,8 +9,11 @@ from rewritekit.rewrite import (
     GREATER,
     MAX_WEIGHT,
     FuelExhausted,
+    Certification,
     ReductionOrder,
+    ReductionTrace,
     Rule,
+    RewritingSystem,
     compare,
     find_termination_order,
     format_system_file,
@@ -45,6 +48,10 @@ class TestRule:
     def test_duplicate_rules_rejected(self):
         with pytest.raises(ValueError):
             system(AB, ("ab", "b"), ("ab", "b"))
+
+    def test_complete_system_requires_an_order(self):
+        with pytest.raises(ValueError, match="certification complete requires an order"):
+            RewritingSystem(AB, (Rule("ab", "b"),), Certification.COMPLETE)
 
 
 class TestRewriteStep:
@@ -96,6 +103,23 @@ class TestNormalForm:
         s = system(AB, ("a", "aa"))
         with pytest.raises(FuelExhausted):
             normal_form(s, "a", fuel=10)
+
+    def test_non_positive_fuel_rejected(self, demo):
+        with pytest.raises(ValueError, match="fuel must be >= 1"):
+            normal_form(demo, "ab", fuel=0)
+
+    @pytest.mark.parametrize("step", [
+        lambda idx, pos, after: (0, pos, after),
+        lambda idx, pos, after: (idx, pos + 1, after),
+        lambda idx, pos, after: (idx, pos, after + "a"),
+    ], ids=["rule", "position", "word-after"])
+    def test_replay_rejects_a_tampered_trace(self, demo_system, step):
+        w = "aaabbbbbaabbbabb"  # a^3b^5a^2b^3ab^2
+        nf, trace = normal_form(demo_system, w)
+        assert (nf, len(trace.steps), trace.steps[0][:2]) == ("axbbbxbxxb", 5, (1, 2))
+        assert trace.replay(demo_system, w)
+        tampered = ReductionTrace((step(*trace.steps[0]),) + trace.steps[1:])
+        assert not tampered.replay(demo_system, w)
 
 
 class TestCompare:
@@ -226,6 +250,10 @@ class TestFindTerminationOrder:
             order = find_termination_order(s, 1)
             assert order is not None and order == find_termination_order(s, 8), t
             assert rk.certify_family_system(*rk.classify(*t)).order == order, t
+
+    def test_non_positive_weight_cap_rejected(self, demo):
+        with pytest.raises(ValueError, match="max weight must be >= 1"):
+            find_termination_order(demo, 0)
 
     def test_large_weight_cap_returns(self):
         # up to 1000^3 vectors per precedence: only a pruned search gets through
