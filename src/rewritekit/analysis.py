@@ -555,7 +555,11 @@ def dehn_table(presentation: Presentation, n_max: int,
 
     ``sample_count=None`` seeds every word up to length n_max, for n_max up
     to ``MAX_EXHAUSTIVE_N``; an integer seeds that many random words drawn
-    with ``seed``, and those rows are never marked exhaustive.
+    with ``seed``, and those rows are never marked exhaustive.  A random
+    row whose n is below the shortest drawn word holds no seed and no pair,
+    so it reads 0 in every column and its space is below n: the five words
+    that ``sample_count=5, seed=0`` draws for the demonstration monoid at
+    n_max = 20 are 13 letters or longer, so rows 1..12 read (0, 0, 0).
 
     All rows are read off the relation graph reachable from the seeds
     within the length cap ``n_max + slack`` (``slack`` defaults to

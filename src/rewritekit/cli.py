@@ -20,26 +20,21 @@ from typing import Optional
 
 from . import analysis, confluence, endo, family, rewrite
 from .rewrite import FuelExhausted, ReductionOrder, RewritingSystem
-from .words import Word, parse_word, print_word
+from .words import parse_word, report_word
 
 SCHEMA_VERSION = 1
 
 EXIT_OK, EXIT_CHECK_FAILED, EXIT_USAGE, EXIT_BUDGET = 0, 1, 2, 3
 
 
-def _word(w: Word) -> str:
-    """How every report prints a word: the identity prints as ``1``."""
-    return print_word(w) or "1"
-
-
 def _preimages(table) -> dict:
-    return {g: None if w is None else _word(w) for g, w in table.items()}
+    return {g: None if w is None else report_word(w) for g, w in table.items()}
 
 
 def _system(system: RewritingSystem) -> dict:
     return {
         "letters": list(system.alphabet.letters),
-        "rules": [{"lhs": _word(r.lhs), "rhs": _word(r.rhs)} for r in system.rules],
+        "rules": [{"lhs": report_word(r.lhs), "rhs": report_word(r.rhs)} for r in system.rules],
         "certification": system.certification.value,
         "order": str(system.order) if system.order else None,
     }
@@ -48,11 +43,11 @@ def _system(system: RewritingSystem) -> dict:
 def _certificate(cert) -> Optional[dict]:
     if cert is None:
         return None
-    return {"d": cert.d, "s": cert.s, "chain": [_word(w) for w in cert.chain]}
+    return {"d": cert.d, "s": cert.s, "chain": [report_word(w) for w in cert.chain]}
 
 
 def _witness(witness) -> dict:
-    return {key: _word(w) for key, w in asdict(witness).items()}
+    return {key: report_word(w) for key, w in asdict(witness).items()}
 
 
 # The options a JSON report records as its budgets, by argparse dest
@@ -167,7 +162,7 @@ def cmd_build(args) -> int:
             "passed": eq.verdict == "PASS",
             "rules": [{"rule": i.rule_index, "status": i.status, "d": i.d, "s": i.s}
                       for i in eq.rule_results],
-            "relator_normal_form": _word(eq.relator_normal_form),
+            "relator_normal_form": report_word(eq.relator_normal_form),
         }
         verdict = _verdict(summary.verdict, eq.verdict)
         lines.append(f"verification: {verdict}")
@@ -281,9 +276,9 @@ def cmd_nf(args) -> int:
     system = rewrite.parse_system_file(Path(args.system).read_text())
     w = parse_word(args.word, system.alphabet)
     nf, trace = rewrite.normal_form(system, w, fuel=args.fuel)
-    return _finish(args, {"result": {"word": _word(w), "normal_form": _word(nf),
+    return _finish(args, {"result": {"word": report_word(w), "normal_form": report_word(nf),
                                      "steps": len(trace.steps)}},
-                   [_word(nf)])
+                   [report_word(nf)])
 
 
 def cmd_equal(args) -> int:
@@ -340,7 +335,7 @@ def cmd_endo(args) -> int:
     result: dict = {
         "map": str(phi),
         "lifts": lift.lifts,
-        "relation_normal_forms": [[_word(a), _word(b)]
+        "relation_normal_forms": [[report_word(a), report_word(b)]
                                   for a, b in lift.relation_normal_forms],
     }
     lines = [f"map {phi}: {'lifts' if lift.lifts else 'does not lift'}"]
@@ -367,10 +362,11 @@ def cmd_hopf_demo(args) -> int:
         "system": _system(report.system),
         "lift_map": str(report.lift_map),
         "lifts": report.lift_verdict,
-        "lift_normal_forms": [[_word(a), _word(b)] for a, b in report.lift_normal_forms],
+        "lift_normal_forms": [[report_word(a), report_word(b)]
+                              for a, b in report.lift_normal_forms],
         "surjectivity": _preimages(report.surjectivity),
         "non_lift_map": str(report.non_lift_map),
-        "non_lift_normal_forms": [_word(w) for w in report.non_lift_normal_forms],
+        "non_lift_normal_forms": [report_word(w) for w in report.non_lift_normal_forms],
         "witness": {**witness, "found_at_bound": report.witness_bound},
         "derived_witness": {key: w for key, w in _witness(report.derived_witness).items()
                             if key in ("u", "v")},
@@ -410,9 +406,10 @@ def build_parser() -> argparse.ArgumentParser:
                            default=analysis.DEFAULT_NODE_BUDGET,
                            help=f"{nodes} (default %(default)s)")
 
+    params_help = "the exponents of the relator a^A b^B a^C b^D = b"
     p = sub.add_parser("build", help="build (and optionally verify) a family system")
     p.add_argument("--params", nargs=4, type=int, required=True,
-                   metavar=("A", "B", "C", "D"))
+                   metavar=("A", "B", "C", "D"), help=params_help)
     p.add_argument("--verify", action="store_true",
                    help="certify and check presentation equivalence")
     p.add_argument("--out", help="write the system file here")
@@ -424,32 +421,39 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{name}", help=f"override range for {name}")
     p.add_argument("--checks", default="completeness",
                    help="comma-separated: completeness,equivalence,probe,dehn")
-    p.add_argument("--max-rules", type=positive_int, default=confluence.MAX_RULES)
-    p.add_argument("--max-steps", type=positive_int, default=confluence.MAX_STEPS)
-    p.add_argument("--dehn-n", type=exhaustive_n, default=4)
+    p.add_argument("--max-rules", type=positive_int, default=confluence.MAX_RULES,
+                   help="probe check: stop completion beyond this many rules "
+                        "(default %(default)s)")
+    p.add_argument("--max-steps", type=positive_int, default=confluence.MAX_STEPS,
+                   help="probe check: stop completion after this many steps "
+                        "(default %(default)s)")
+    p.add_argument("--dehn-n", type=exhaustive_n, default=4,
+                   help="dehn check: n of each exhaustive table (default %(default)s)")
     p.add_argument("--out", dest="report_out", help="write the --json report here")
     add_common(p, cmd_grid,
                nodes="node budget of each oracle search and of each Dehn "
                      "table's normal-form class graph")
 
     p = sub.add_parser("complete", help="Knuth-Bendix completion of a presentation file")
-    p.add_argument("--presentation", required=True)
+    p.add_argument("--presentation", required=True, help="presentation file")
     p.add_argument("--order", help='e.g. "weights: a=1 b=1; precedence: a>b" '
                                    "(default: all weights 1, alphabet order)")
-    p.add_argument("--max-rules", type=positive_int, default=confluence.MAX_RULES)
-    p.add_argument("--max-steps", type=positive_int, default=confluence.MAX_STEPS)
+    p.add_argument("--max-rules", type=positive_int, default=confluence.MAX_RULES,
+                   help="stop beyond this many rules (default %(default)s)")
+    p.add_argument("--max-steps", type=positive_int, default=confluence.MAX_STEPS,
+                   help="stop after this many steps (default %(default)s)")
     p.add_argument("--out", help="write the completed system file here")
     add_common(p, cmd_complete)
 
     p = sub.add_parser("nf", help="normal form of a word under a system file")
-    p.add_argument("--system", required=True)
-    p.add_argument("word")
+    p.add_argument("--system", required=True, help="system file")
+    p.add_argument("word", help="the word to reduce, e.g. ab^2 (1 is the identity)")
     add_common(p, cmd_nf)
 
     p = sub.add_parser("equal", help="bounded equality search in a presentation")
-    p.add_argument("--presentation", required=True)
-    p.add_argument("u")
-    p.add_argument("v")
+    p.add_argument("--presentation", required=True, help="presentation file")
+    p.add_argument("u", help="the first word, e.g. ab^2 (1 is the identity)")
+    p.add_argument("v", help="the second word")
     p.add_argument("--bound", type=positive_int,
                    help="length cap (default: longer word + 2*longest side)")
     p.add_argument("--space", action="store_true",
@@ -457,21 +461,28 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, cmd_equal, fuel=False, nodes="oracle node budget")
 
     p = sub.add_parser("dehn", help="measured Dehn/space table for a presentation")
-    p.add_argument("--presentation", required=True)
-    p.add_argument("--n", type=positive_int, required=True)
+    p.add_argument("--presentation", required=True, help="presentation file")
+    p.add_argument("--n", type=positive_int, required=True,
+                   help="rows for word lengths 1..N")
     p.add_argument("--mode", default="exhaustive", help="exhaustive or random:COUNT")
     p.add_argument("--slack", type=int,
                    help="length-cap slack (default 2*longest side)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="seed of the drawn words; only random mode uses it "
+                        "(default %(default)s)")
     add_common(p, cmd_dehn, fuel=False,
                nodes="node budget of each normal-form class's graph")
 
     p = sub.add_parser("endo", help="endomorphism analysis on a family monoid")
     p.add_argument("--params", nargs=4, type=int, required=True,
-                   metavar=("A", "B", "C", "D"))
+                   metavar=("A", "B", "C", "D"), help=params_help)
     p.add_argument("--map", required=True, help='e.g. "a=a,b=bab"')
-    p.add_argument("--surjective-bound", type=positive_int, default=3)
-    p.add_argument("--noninjective-bound", type=positive_int)
+    p.add_argument("--surjective-bound", type=positive_int, default=3,
+                   help="longest word searched for each generator's preimage "
+                        "(default %(default)s)")
+    p.add_argument("--noninjective-bound", type=positive_int,
+                   help="longest word searched for two elements with one image "
+                        "(default: no search)")
     add_common(p, cmd_endo)
 
     add_common(sub.add_parser("hopf-demo", help="the full non-hopfian demonstration"),

@@ -14,7 +14,7 @@ from typing import Mapping, Optional
 
 from .family import certify_family_system, classify, one_relator_presentation
 from .rewrite import DEFAULT_FUEL, Presentation, RewritingSystem, _reduce
-from .words import Word, _shortlex_words, parse_word, print_word
+from .words import Word, _shortlex_words, parse_word, report_word
 
 DEMO_EXPONENTS = (1, 2, 2, 2)
 
@@ -26,7 +26,7 @@ class EndomorphismSpec:
     images: Mapping[str, Word]
 
     def __str__(self) -> str:
-        return ",".join(f"{g}={print_word(w) or '1'}" for g, w in sorted(self.images.items()))
+        return ",".join(f"{g}={report_word(w)}" for g, w in sorted(self.images.items()))
 
 
 def parse_endomorphism(text: str, presentation: Presentation) -> EndomorphismSpec:

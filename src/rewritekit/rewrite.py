@@ -17,6 +17,7 @@ inter-reduced, so its growing lists are always flat.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
@@ -130,17 +131,24 @@ def compare(order: ReductionOrder, u: Word, v: Word) -> int:
 
 
 def parse_order(text: str) -> ReductionOrder:
-    """Parse ``weights: a=4 b=1 x=2; precedence: x>b>a``."""
-    try:
-        wpart, ppart = text.split(";")
-        items = [item.split("=") for item in wpart.split(":", 1)[1].split()]
-        weights = {letter: int(value) for letter, value in items}
-        precedence = tuple(c.strip() for c in ppart.split(":", 1)[1].split(">"))
-    except (ValueError, IndexError) as exc:
-        raise ValueError(f"bad order syntax: {text!r}") from exc
+    """Parse ``weights: a=4 b=1 x=2; precedence: x>b>a``, the form
+    ``str(order)`` prints.
+
+    Both keywords are required.  Each weight is ``letter=digits`` in ASCII
+    digits, whitespace-separated; ``precedence`` lists the letters
+    greatest-first, separated by ``>`` with optional spaces.  Malformed text,
+    and a letter weighed twice, raise ``ValueError("bad order syntax: ...")``;
+    a weight below 1, a letter listed twice in ``precedence`` or a letter on
+    one side only raise from :class:`ReductionOrder`.
+    """
+    syntax = re.fullmatch(r"\s*weights:([^;]*);\s*precedence:([^;]*)", text)
+    items = syntax and [re.fullmatch(r"([^=]*)=([0-9]+)", item) for item in syntax[1].split()]
+    if items is None or not all(items):
+        raise ValueError(f"bad order syntax: {text!r}")
+    weights = {item[1]: int(item[2]) for item in items}
     if len(weights) < len(items):
         raise ValueError(f"bad order syntax: {text!r} weighs a letter twice")
-    return ReductionOrder(weights, precedence)
+    return ReductionOrder(weights, tuple(c.strip() for c in syntax[2].split(">")))
 
 
 @dataclass(frozen=True)

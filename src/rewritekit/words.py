@@ -9,9 +9,16 @@ threads and workers.
 from __future__ import annotations
 
 import random
+import re
 from dataclasses import dataclass
+from itertools import groupby
 
 Word = str
+
+# One term of word syntax: any character (so a foreign one can be named),
+# then optionally ``^`` and its exponent's ASCII digits.  Matched back to
+# back, the terms cover the whole text.
+_TERM = re.compile(r"(.)(\^([0-9]*))?", re.DOTALL)
 
 
 class WordSyntaxError(ValueError):
@@ -58,32 +65,27 @@ def alphabet(letters: str) -> Alphabet:
 def parse_word(text: str, alpha: Alphabet) -> Word:
     """Expand concrete word syntax like ``a^2b^2ab^2`` to a letter string.
 
-    The syntax is ``letter(^positive-integer)?`` repeated; the empty
+    The syntax is ``letter(^exponent)?`` repeated, where an exponent is
+    ASCII digits with value >= 1 (leading zeros allowed); the empty
     string and the text ``1`` denote the identity.  Round-trips with
-    :func:`print_word`, and with the report form ``print_word(w) or "1"``.
+    :func:`print_word` and with the report form :func:`report_word`.
+    Malformed text raises :class:`WordSyntaxError`, and so does an
+    exponent too large for a string length.
     """
     if text == "1":
         return ""
     out: list[str] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
+    for ch, power, digits in _TERM.findall(text):
         if ch not in alpha:
             raise WordSyntaxError(f"unknown letter {ch!r} in {text!r}")
-        i += 1
-        if i < len(text) and text[i] == "^":
-            j = i + 1
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            if j == i + 1:
-                raise WordSyntaxError(f"malformed exponent after {ch!r} in {text!r}")
-            n = int(text[i + 1 : j])
-            if n == 0:
-                raise WordSyntaxError(f"exponent 0 not allowed in {text!r}")
-            out.append(ch * n)
-            i = j
-        else:
-            out.append(ch)
+        if power == "^":
+            raise WordSyntaxError(f"malformed exponent after {ch!r} in {text!r}")
+        if power and not digits.lstrip("0"):
+            raise WordSyntaxError(f"exponent 0 not allowed in {text!r}")
+        try:
+            out.append(ch * int(digits or 1))
+        except (ValueError, OverflowError):  # past the int-string limit, or sys.maxsize
+            raise WordSyntaxError(f"exponent too large after {ch!r} in {text!r}") from None
     return "".join(out)
 
 
@@ -112,16 +114,14 @@ def _parse_pair_file(text: str, kind: str, item: str, sep: str, make):
 
 def print_word(word: Word) -> str:
     """Compress runs of a word into ``^`` notation, e.g. ``xxb`` -> ``x^2b``."""
-    parts: list[str] = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        n = j - i
-        parts.append(word[i] if n == 1 else f"{word[i]}^{n}")
-        i = j
-    return "".join(parts)
+    runs = ((ch, len(list(run))) for ch, run in groupby(word))
+    return "".join(ch if n == 1 else f"{ch}^{n}" for ch, n in runs)
+
+
+def report_word(word: Word) -> str:
+    """How every report prints a word: :func:`print_word`, except that the
+    identity prints as ``1``."""
+    return print_word(word) or "1"
 
 
 def find_occurrences(haystack: Word, needle: Word) -> list[int]:

@@ -310,6 +310,14 @@ class TestDehn:
             assert ra.dehn <= re.dehn and ra.space <= re.space
             assert not ra.exhaustive
 
+    def test_random_rows_below_the_shortest_seed_read_zero(self, demo):
+        # the five words drawn with seed 0 have lengths 13, 17, 20, 20 and
+        # 20, so rows 1..12 hold no seed and no pair: their space is below n
+        _, pres, _ = demo
+        table = dehn_table(pres, 20, sample_count=5, seed=0)
+        assert [(r.dehn, r.space, r.pairs_examined) for r in table[:13]] == \
+            [(0, 0, 0)] * 12 + [(0, 13, 0)]
+
     def test_random_mode_marks_a_cut_graph_truncated(self, demo):
         # random rows are never exhaustive, so only `truncated` tells the cut
         # table (d = 6 at n = 10) from the whole one (d = 10)

@@ -1,3 +1,4 @@
+import argparse
 import inspect
 import json
 from dataclasses import replace
@@ -9,6 +10,7 @@ from rewritekit.confluence import knuth_bendix
 
 DEMO_PRESENTATION = "letters: a b\nab^2a^2b^2 = b\n"
 PRES, SYSTEM = "{pres}", "{system}"  # stand for the demo files in an argv
+HUGE, LONG = "9" * 20, "9" * 5000  # exponents past sys.maxsize and past 4,300 digits
 
 
 @pytest.fixture()
@@ -102,9 +104,31 @@ class TestExitCodes:
          "order letter 'c' not in presentation alphabet"),
         (["endo", "--params", "1", "2", "2", "2", "--map", "ab"],
          "bad image 'ab'; expected letter=word"),
-    ], ids=["check", "order-syntax", "weight", "precedence", "order-letter", "image"])
-    def test_usage_error_on_malformed_input(self, argv, message, pres_file, capsys):
-        assert cli.main([a.format(pres=pres_file) for a in argv]) == 2
+        *[(["complete", "--presentation", PRES, "--order", order],
+           f"bad order syntax: {order!r}")
+          for order in (":a=1 b=1;:a>b", "zzz: a=1 b=1; qqq: a>b",
+                        "weights: a=\u0663 b=1; precedence: a>b",
+                        "weights: a=+2 b=1; precedence: a>b",
+                        "weights: a=1_0 b=1; precedence: a>b")],
+        # an exponent past sys.maxsize, and one past the int-string limit
+        (["nf", "--system", SYSTEM, f"a^{HUGE}"],
+         f"exponent too large after 'a' in 'a^{HUGE}'"),
+        (["equal", "--presentation", PRES, "b", f"b^{LONG}"],
+         f"exponent too large after 'b' in 'b^{LONG}'"),
+        (["endo", "--params", "1", "2", "2", "2", "--map", f"a=a,b=b^{HUGE}"],
+         f"exponent too large after 'b' in 'b^{HUGE}'"),
+        (["equal", "--presentation", "{huge_pres}", "a", "b"],
+         f"exponent too large after 'b' in 'ab^{HUGE}'"),
+        (["nf", "--system", SYSTEM, "a^\u0663"], "malformed exponent after 'a' in 'a^\u0663'"),
+    ], ids=["check", "order-syntax", "weight", "precedence", "order-letter", "image",
+            "order-keywords", "order-names", "order-digit", "order-sign", "order-underscore",
+            "nf-exponent", "equal-exponent", "map-exponent", "file-exponent", "exponent-digit"])
+    def test_usage_error_on_malformed_input(self, argv, message, pres_file, system_file,
+                                            tmp_path, capsys):
+        huge_pres = tmp_path / "huge.pres"
+        huge_pres.write_text(f"letters: a b\nab^{HUGE} = b\n")
+        files = {"pres": pres_file, "system": system_file, "huge_pres": huge_pres}
+        assert cli.main([a.format(**files) for a in argv]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("argv", [
@@ -494,6 +518,19 @@ class TestReproducibility:
         capsys.readouterr()
         assert cli.main([files.get(a, a) for a in argv] + ["--json"]) == 0
         assert json.loads(capsys.readouterr().out)["budgets"] == budgets
+
+
+def test_every_command_and_option_has_help():
+    """Each command, option and positional says in --help what it is; the
+    subparsers action itself is described by its commands' help."""
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    actions = {"rewritekit": [a for a in parser._actions if a is not commands]
+               + commands._choices_actions}
+    actions.update((name, sub._actions) for name, sub in commands.choices.items())
+    missing = [(name, a.option_strings or a.dest)
+               for name, group in actions.items() for a in group if not a.help]
+    assert missing == []
 
 
 def _default(func, name):

@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from rewritekit.confluence import _pairs_for_rules
 from rewritekit.words import (
@@ -12,6 +13,7 @@ from rewritekit.words import (
     find_occurrences,
     parse_word,
     print_word,
+    report_word,
 )
 
 AB = alphabet("ab")
@@ -49,9 +51,11 @@ class TestParseWord:
     def test_exponents(self):
         assert parse_word("x^2b^2", ABX) == "xxbb"
         assert parse_word("a^2b^2ab^2", AB) == "aabbabb"
+        assert parse_word("a^01b^002", AB) == "abb"
 
     def test_empty(self):
         assert parse_word("", AB) == ""
+        assert parse_word("1", AB) == ""
 
     def test_unknown_letter(self):
         with pytest.raises(WordSyntaxError):
@@ -63,9 +67,22 @@ class TestParseWord:
         with pytest.raises(WordSyntaxError):
             parse_word("a^b", AB)
 
+    @pytest.mark.parametrize("text", ["a^\u0663", "x^\u066332", "a^\u00b2", "a^\uff12"])
+    def test_exponent_digits_are_ascii(self, text):
+        with pytest.raises(WordSyntaxError, match="malformed exponent after"):
+            parse_word(text, ABX)
+
     def test_zero_exponent_rejected(self):
         with pytest.raises(WordSyntaxError):
             parse_word("a^0b", AB)
+        with pytest.raises(WordSyntaxError, match="exponent 0 not allowed"):
+            parse_word("a^" + "0" * 5000, AB)
+
+    @pytest.mark.parametrize("digits", ["9" * 20, "9" * 5000],
+                             ids=["past-maxsize", "past-int-string-limit"])
+    def test_huge_exponent_rejected(self, digits):
+        with pytest.raises(WordSyntaxError, match="exponent too large after 'b'"):
+            parse_word("ab^" + digits, AB)
 
     def test_round_trip_random(self):
         rng = random.Random(7)
@@ -77,6 +94,29 @@ class TestParseWord:
         assert print_word("xxb") == "x^2b"
         assert print_word("aabbabb") == "a^2b^2ab^2"
         assert print_word("") == ""
+        assert (report_word("xxb"), report_word("")) == ("x^2b", "1")
+
+
+# Text drawn as terms: a letter, ``^``, a space or a non-ASCII digit, then
+# optionally ``^``, then up to two digits of either kind.  So an ASCII digit
+# run never exceeds two digits, and no exponent asks for a huge string.
+_WORD_TEXT = st.lists(st.tuples(st.sampled_from("abx^ \u00b2\u0663"), st.sampled_from(["", "^"]),
+                                st.text("0123456789\u00b2\u0663\uff12", max_size=2)),
+                      max_size=4).map(lambda terms: "".join(map("".join, terms)))
+
+
+@given(_WORD_TEXT)
+@example("a^\u00b2")
+@example("x^\u066332")
+def test_parse_word_raises_only_word_syntax_error(text):
+    """Any text parses to a word that prints back to itself, or raises
+    WordSyntaxError; no other exception escapes."""
+    try:
+        w = parse_word(text, ABX)
+    except WordSyntaxError:
+        return
+    assert parse_word(print_word(w), ABX) == w
+    assert parse_word(report_word(w), ABX) == w
 
 
 class TestFindOccurrences:
