@@ -320,8 +320,9 @@ def _measure_class(rules, seeds, cap: int, node_budget: int,
                    space_at: list[int]) -> bool:
     """Add the Dehn, pair and space figures of the graph reachable from
     ``seeds`` under the directed ``rules`` into the per-threshold lists;
-    True when no word was dropped for ``node_budget``.  The graph grows
-    only as far as the figures need it, and is freed on return.
+    True when :func:`_explore` dropped no word of this graph for
+    ``node_budget``.  The graph grows only as far as the figures need it,
+    and is freed on return.
 
     The seeds must be distinct and in nondecreasing length: they hold ids
     0..n_seeds-1 in that order, and the sweep's roots rely on it.
@@ -331,19 +332,25 @@ def _measure_class(rules, seeds, cap: int, node_budget: int,
     words = list(seeds)
     id_of = {w: i for i, w in enumerate(words)}
     adj: list = [None] * len(words)
+    whole = True
 
     def grow(batch):
-        return _explore(rules, batch, words, id_of, adj, cap, node_budget)
+        nonlocal whole
+        added, rows, ok = _explore(rules, batch, words, id_of, adj, cap, node_budget)
+        whole &= ok
+        return added, rows
 
-    classes, whole = _space_sweep(grow, words, cap, space_at)
-    return _distance_pass(grow, words, adj, classes, max_d_at, pairs_at) and whole
+    classes = _space_sweep(grow, words, cap, space_at)
+    _distance_pass(grow, words, adj, classes, max_d_at, pairs_at)
+    return whole
 
 
 def _space_sweep(grow, words: list[Word], cap: int, space_at: list[int]):
     """Raise ``space_at`` to the least length caps under which the seeds,
     the ``words`` on entry, connect, and group the seeds by component.
     ``grow(batch)`` is :func:`_explore` on the class's graph: it expands
-    the words whose ids are in ``batch``, and appends the words it finds.
+    the words whose ids are in ``batch``, appends the words it finds, and
+    returns the ids added and the rows built.
 
     A union-find search from the seeds takes words in order of length and
     gives, for every pair of seeds, the least length cap under which the
@@ -364,12 +371,10 @@ def _space_sweep(grow, words: list[Word], cap: int, space_at: list[int]):
     threshold |words[j]| for the greater root j.  After n_seeds - 1 such
     unions every seed shares one component, and the search stops.
 
-    Returns ``(classes, whole)``: the seeds' ids by the root of their
-    component, ascending within each, and False when ``grow`` dropped a
-    word.
+    Returns the seeds' ids by the root of their component, ascending
+    within each.
     """
     n_seeds = len(words)
-    whole = True
     parent = [-1] * n_seeds
     buckets: list[list[int]] = [[] for _ in range(cap + 1)]
     for i, w in enumerate(words):
@@ -380,8 +385,7 @@ def _space_sweep(grow, words: list[Word], cap: int, space_at: list[int]):
         while joins_left and pos < len(bucket):
             batch = bucket[pos:]
             pos = len(bucket)
-            added, rows, ok = grow(batch)
-            whole &= ok
+            added, rows = grow(batch)
             parent.extend(repeat(-1, len(added)))
             for j in added:
                 L = len(words[j])
@@ -413,15 +417,15 @@ def _space_sweep(grow, words: list[Word], cap: int, space_at: list[int]):
     for u in range(n_seeds):
         parent[u] = r = parent[parent[u]]
         classes.setdefault(r, []).append(u)
-    return classes, whole
+    return classes
 
 
 def _distance_pass(grow, words: list[Word], adj: list, classes: dict[int, list[int]],
-                   max_d_at: list[int], pairs_at: list[int]) -> bool:
+                   max_d_at: list[int], pairs_at: list[int]) -> None:
     """Raise ``max_d_at`` to the distances of the seed pairs within each of
-    the sweep's ``classes``, and count those pairs in ``pairs_at``; False
-    when ``grow`` (as in :func:`_space_sweep`) dropped a word.  ``adj[i]``
-    is word i's row once it is expanded.
+    the sweep's ``classes``, and count those pairs in ``pairs_at``.
+    ``grow`` is as in :func:`_space_sweep`, and ``adj[i]`` is word i's row
+    once it is expanded.
 
     One breadth-first search per class from all its seeds at once, level
     by level.  Bit b of ``seen[w]`` marks the class's b-th seed as reaching
@@ -441,7 +445,6 @@ def _distance_pass(grow, words: list[Word], adj: list, classes: dict[int, list[i
     whether it was searched or settled.  The classes are disjoint
     components, so they share the marks without clearing them.
     """
-    whole = True
     seen, fresh = [0] * len(words), [0] * len(words)
     for members in classes.values():
         m = len(members)
@@ -458,8 +461,7 @@ def _distance_pass(grow, words: list[Word], adj: list, classes: dict[int, list[i
         while active:
             k += 1
             batch = [i for i in level if adj[i] is None and seen[i] & active]
-            added, _, ok = grow(batch)
-            whole &= ok
+            added, _ = grow(batch)
             seen.extend(repeat(0, len(added)))
             fresh.extend(repeat(0, len(added)))
             found = []
@@ -516,7 +518,6 @@ def _distance_pass(grow, words: list[Word], adj: list, classes: dict[int, list[i
                         known[c] |= 1 << b
             active &= ~sum(1 << b for b in range(m) if known[b] == full)
             level = found
-    return whole
 
 
 def _settled(ball: list[list[int]], b: int, reach: int, open_: int) -> int:
@@ -563,8 +564,11 @@ def dehn_table(presentation: Presentation, n_max: int,
 
     All rows are read off the relation graph reachable from the seeds
     within the length cap ``n_max + slack`` (``slack`` defaults to
-    :func:`default_slack`), which makes the measured values
-    non-decreasing in n by construction.  A relation application never
+    :func:`default_slack`).  Each pair of seeds enters its figures at its
+    threshold max(|x|, |y|), and row n is the running maximum of the
+    entries at or below n (for ``pairs_examined``, their sum), so the rows
+    are non-decreasing in n.  A seed's trivial pair (x, x) gives its space
+    entry, |x|, and is not counted as examined.  A relation application never
     leaves a normal-form class, so that graph is a disjoint union of one
     graph per class: the seeds are grouped by normal form
     (:func:`_partnered_seeds`), and each group's graph is grown, measured
@@ -582,16 +586,14 @@ def dehn_table(presentation: Presentation, n_max: int,
     graph.  ``pairs_examined`` counts the pairs whose seeds share a
     component, whether their distance was searched or settled.
 
-    Trivial pairs (x, x) participate: their space requirement is |x|.
-
     Seeds that no other seed can equal are not explored.  This is sound
     because two words equal in the monoid share their normal form under
     any complete system for it, so a seed whose normal form no other seed
     shares has no partner, and its component adds nothing to the Dehn,
-    space or pair figures of the others.  The space floor still counts
-    every seed length.  Without a complete system every seed is explored,
-    in one graph; unless every seed equals every other, they never all
-    share one component, so the search finds every word within the cap.
+    space or pair figures of the others.  Without a complete system every
+    seed is explored, in one graph; unless every seed equals every other,
+    they never all share one component, so the search finds every word
+    within the cap.
 
     ``node_budget`` caps the words found in each class's graph, not their
     sum: it guards memory, and a class's graph is all that is held at
@@ -622,25 +624,19 @@ def dehn_table(presentation: Presentation, n_max: int,
     max_d_at = [0] * (n_max + 1)     # by threshold max(|x|, |y|)
     pairs_at = [0] * (n_max + 1)
     space_at = [0] * (n_max + 1)
+    for w in seeds:
+        space_at[len(w)] = len(w)  # the trivial pair (w, w)
     rules = _directed(presentation.equations)
     exhausted = True
     for group in _partnered_seeds(presentation, seeds):
         exhausted &= _measure_class(rules, group, cap, node_budget,
                                     max_d_at, pairs_at, space_at)
 
-    seed_lengths = {len(w) for w in seeds}
-    rows = []
-    running_d = running_sp = running_pairs = floor = 0
-    for n in range(1, n_max + 1):
-        running_d = max(running_d, max_d_at[n])
-        running_sp = max(running_sp, space_at[n])
-        running_pairs += pairs_at[n]
-        if n in seed_lengths:
-            floor = n
-        rows.append(DehnSample(n, running_d, max(running_sp, floor),
-                               running_pairs,
-                               sample_count is None and exhausted, not exhausted))
-    return rows
+    exhaustive = sample_count is None and exhausted
+    rows = zip(accumulate(max_d_at[1:], max), accumulate(space_at[1:], max),
+               accumulate(pairs_at[1:]))
+    return [DehnSample(n, d, sp, pairs, exhaustive, not exhausted)
+            for n, (d, sp, pairs) in enumerate(rows, 1)]
 
 
 def enumerate_elements(system: RewritingSystem, max_length: int,

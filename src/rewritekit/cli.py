@@ -96,6 +96,9 @@ def _parse_range(text: str) -> range:
         raise ValueError(f"bad range {text!r}; expected N or LO..HI") from None
     if lo < 1 or hi < lo:
         raise ValueError(f"empty or invalid range {text!r}")
+    if hi > family.MAX_EXPONENT:
+        raise ValueError(f"range {text!r} exceeds the largest exponent, "
+                         f"{family.MAX_EXPONENT}")
     return range(lo, hi + 1)
 
 

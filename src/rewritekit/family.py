@@ -10,6 +10,7 @@ a^(pk) b^s.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
@@ -33,6 +34,9 @@ from .words import Alphabet, Word, _random_words, alphabet
 AB = alphabet("ab")
 ABX = alphabet("abx")
 AUX_LETTER = "x"
+# The largest exponent a relator may have: a^n is a string of n letters,
+# and Python can build no longer one.
+MAX_EXPONENT = sys.maxsize
 
 
 class Case(Enum):
@@ -76,11 +80,14 @@ def classify(alpha: int, beta: int, gamma: int, delta: int) -> tuple[CaseTag, Fa
 
     The relator a^alpha b^beta a^gamma b^delta self-overlaps exactly when
     beta >= delta and gamma >= alpha; in that case p = alpha, s = delta,
-    q = beta - delta, and gamma = r + p*k with 0 <= r < p, k >= 1.
+    q = beta - delta, and gamma = r + p*k with 0 <= r < p, k >= 1.  Each
+    exponent is in 1..MAX_EXPONENT.
     """
     for name, value in (("alpha", alpha), ("beta", beta), ("gamma", gamma), ("delta", delta)):
         if value < 1:
             raise ValueError(f"exponent {name} must be >= 1, got {value}")
+        if value > MAX_EXPONENT:
+            raise ValueError(f"exponent {name} must be <= {MAX_EXPONENT}, got {value}")
     if not (beta >= delta and gamma >= alpha):
         return CaseTag(Case.NO_OVERLAP), FamilyParams(alpha, beta, gamma, delta)
     p, s, q = alpha, delta, beta - delta

@@ -487,7 +487,7 @@ class TestSeedPruning:
 
     def test_a_lone_seed_is_measured_alone(self, monkeypatch):
         # one random sample and no complete system: one class of one seed,
-        # so no pair, and the space floor is the seed's own length
+        # so no pair, and the seed's trivial pair gives the space, its length
         pres = _family_presentation((1, 3, 2, 2))
         measure, classes = analysis._measure_class, []
 
@@ -592,6 +592,35 @@ class TestOnDemandGraph:
         assert all(r.exhaustive and not r.truncated for r in table)
         assert table == dehn_table(pres, 7)
 
+    def test_node_budget_boundary(self, demo, monkeypatch):
+        # the demo's n = 8 table measures 42 classes, and its largest class
+        # graph finds 382 words: that budget drops no word, one word fewer
+        # drops one, which marks every row truncated but moves no value
+        _, pres, _ = demo
+        measure, explore = analysis._measure_class, analysis._explore
+        found = []  # per measured class: the most words its graph held
+
+        def measuring(rules, seeds, *args):
+            found.append(len(seeds))
+            return measure(rules, seeds, *args)
+
+        def exploring(rules, batch, words, *args):
+            result = explore(rules, batch, words, *args)
+            found[-1] = max(found[-1], len(words))
+            return result
+
+        monkeypatch.setattr(analysis, "_measure_class", measuring)
+        monkeypatch.setattr(analysis, "_explore", exploring)
+        whole = dehn_table(pres, 8)
+        assert (len(found), max(found)) == (42, 382)
+        monkeypatch.undo()
+        table = dehn_table(pres, 8, node_budget=382)
+        assert table == whole
+        assert all(r.exhaustive and not r.truncated for r in table)
+        table = dehn_table(pres, 8, node_budget=381)
+        assert _rows(table) == _rows(whole) == DEMO_ROWS_N8
+        assert all(r.truncated and not r.exhaustive for r in table)
+
 
 @pytest.fixture()
 def settled_pairs(monkeypatch):
@@ -677,6 +706,22 @@ def test_family_dehn_tables_match_per_pair_reference(exponents, prunes, slack):
         # fewer pairs connect than under the default cap: the case splits
         assert table[-1].pairs_examined < dehn_table(pres, 6)[-1].pairs_examined
     assert table == reference_dehn_rows(pres.equations, 6, 6 + slack)
+
+
+# The length cap n_max + slack bends the last rows of some family tables:
+# under its default slack (12) abaaab reads 6n - 12 up to n_max - 3 and
+# jumps at n_max - 2, wherever the table ends, while slack 16 keeps the
+# line.  abaab reads 4n - 8 under its default slack (10) and under 14.
+@pytest.mark.parametrize("exponents, slack, dehn", [
+    ((1, 1, 3, 1), None, {6: 32, 7: 40, 8: 48}),
+    ((1, 1, 3, 1), 16, {6: 24, 7: 30, 8: 36}),
+    ((1, 1, 2, 1), 10, {n: 4 * n - 8 for n in range(3, 9)}),
+    ((1, 1, 2, 1), 14, {n: 4 * n - 8 for n in range(3, 9)}),
+])
+def test_family_dehn_rows_under_the_length_cap(exponents, slack, dehn):
+    table = dehn_table(_family_presentation(exponents), 8, slack=slack)
+    assert all(r.exhaustive for r in table)
+    assert {r.n: r.dehn for r in table if r.n in dehn} == dehn
 
 
 class TestEnumerateElements:

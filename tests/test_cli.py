@@ -1,6 +1,7 @@
 import argparse
 import inspect
 import json
+import sys
 from dataclasses import replace
 
 import pytest
@@ -120,9 +121,19 @@ class TestExitCodes:
         (["equal", "--presentation", "{huge_pres}", "a", "b"],
          f"exponent too large after 'b' in 'ab^{HUGE}'"),
         (["nf", "--system", SYSTEM, "a^\u0663"], "malformed exponent after 'a' in 'a^\u0663'"),
+        # a family exponent or range end past sys.maxsize
+        (["build", "--params", "1", "2", "2", HUGE],
+         f"exponent delta must be <= {sys.maxsize}, got {HUGE}"),
+        (["endo", "--params", HUGE, "2", "2", "2", "--map", "a=a,b=bab"],
+         f"exponent alpha must be <= {sys.maxsize}, got {HUGE}"),
+        (["grid", "--range", "1..1", "--beta", HUGE, "--checks", "probe"],
+         f"range '{HUGE}' exceeds the largest exponent, {sys.maxsize}"),
+        (["grid", "--range", f"1..{HUGE}"],
+         f"range '1..{HUGE}' exceeds the largest exponent, {sys.maxsize}"),
     ], ids=["check", "order-syntax", "weight", "precedence", "order-letter", "image",
             "order-keywords", "order-names", "order-digit", "order-sign", "order-underscore",
-            "nf-exponent", "equal-exponent", "map-exponent", "file-exponent", "exponent-digit"])
+            "nf-exponent", "equal-exponent", "map-exponent", "file-exponent", "exponent-digit",
+            "build-params", "endo-params", "grid-beta", "grid-range"])
     def test_usage_error_on_malformed_input(self, argv, message, pres_file, system_file,
                                             tmp_path, capsys):
         huge_pres = tmp_path / "huge.pres"

@@ -15,7 +15,8 @@ from hypothesis import Phase, given, settings, strategies as st
 
 from rewritekit import cli
 
-EXPONENTS = ("1", "2", "0", "-1", "x")
+HUGE = "9" * 20  # an exponent past sys.maxsize
+EXPONENTS = ("1", "2", "0", "-1", "x", HUGE)
 WORDS = ("ab^2", "b", "1", "", "x^2b", "a^0", "a^", "z", "^2", "abbab")
 PRESENTATIONS = {
     "demo.pres": "letters: a b\nab^2a^2b^2 = b\n",
@@ -67,10 +68,12 @@ def _argv(files):
     system = st.sampled_from([str(files / n) for n in SYSTEMS] + [str(files)])
     good_params = st.lists(st.sampled_from(("1", "2")), min_size=4, max_size=4)
     bad_params = st.lists(st.sampled_from(EXPONENTS), min_size=3, max_size=5)
-    params = st.one_of(good_params, good_params, good_params, bad_params)
+    # four exponents, most often one or more of them past sys.maxsize
+    huge_params = st.lists(st.sampled_from(("1", "2", HUGE)), min_size=4, max_size=4)
+    params = st.one_of(good_params, good_params, good_params, bad_params, huge_params)
     out = _option("--out", (str(files / "out.txt"),), (str(files),))
     word = st.sampled_from(WORDS)
-    ranges = (("1..2", "1", "2"), ("0..1", "2..1", "x", "1..2..3"))
+    ranges = (("1..2", "1", "2"), ("0..1", "2..1", "x", "1..2..3", f"1..{HUGE}"))
     commands = {
         "build": [params.map(lambda p: ["--params", *p]), _flag("--verify"), out,
                   *_budgets(nodes=True)],

@@ -15,7 +15,7 @@ from rewritekit.endo import (
 )
 from rewritekit.rewrite import RewritingSystem
 from rewritekit.confluence import certify
-from rewritekit.words import alphabet
+from rewritekit.words import alphabet, parse_word, print_word
 from tests.conftest import certified_demo as demo, words_up_to
 
 AB = alphabet("ab")
@@ -179,3 +179,27 @@ class TestHopfDemo:
         for g in "ab":
             image = apply_substitution(PHI, apply_substitution(PSI, g))
             assert nf(image) == nf(g)
+
+
+class TestWitnessesBeyondTheDemo:
+    # on (p, 2, 2p, 2) the map a -> a, b -> b a^p b lifts, is surjective and
+    # identifies a^(2p) b^3 a^p b with b a^(3p) b^3; measured for p = 2, 3
+    @pytest.mark.parametrize("exponents, image, preimage, empty_bound, bound, u, v", [
+        ((2, 2, 4, 2), "ba^2b", "a^2b^2", None, 11, "a^4b^3a^2b", "ba^6b^3"),
+        ((3, 2, 6, 2), "ba^3b", "a^3b^2", 11, 13, "a^6b^3a^3b", "ba^9b^3"),
+    ], ids=["p2", "p3"])
+    def test_non_hopfian_witness(self, exponents, image, preimage, empty_bound,
+                                 bound, u, v):
+        tag, params = rk.classify(*exponents)
+        summary = rk.certify_family_system(tag, params)
+        assert summary.certification == rk.Certification.COMPLETE
+        system, pres = summary.system, rk.one_relator_presentation(params)
+        phi = EndomorphismSpec({"a": "a", "b": parse_word(image, pres.alphabet)})
+        assert check_lifts(system, pres, phi).lifts
+        assert surjectivity_evidence(system, pres, phi, 5) == {
+            "a": "a", "b": parse_word(preimage, pres.alphabet)}
+        if empty_bound is not None:
+            assert find_injectivity_violation(system, pres, phi, empty_bound) is None
+        witness = find_injectivity_violation(system, pres, phi, bound)
+        assert (print_word(witness.u), print_word(witness.v)) == (u, v)
+        assert witness.revalidate(system, phi)

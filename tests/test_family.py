@@ -1,10 +1,13 @@
 import random
+import sys
 from dataclasses import replace
 
 import pytest
 
 import rewritekit as rk
+from rewritekit.confluence import knuth_bendix
 from rewritekit.family import (
+    MAX_EXPONENT,
     Case,
     CaseTag,
     EmpiricalTermination,
@@ -55,6 +58,14 @@ class TestClassify:
     def test_rejects_zero_exponent(self):
         with pytest.raises(ValueError):
             classify(0, 1, 1, 1)
+
+    def test_rejects_exponent_past_maxsize(self):
+        # a^n for such an n is no Python string; the bound is checked here,
+        # before build_system would overflow
+        assert MAX_EXPONENT == sys.maxsize
+        classify(1, 2, 2, MAX_EXPONENT)
+        with pytest.raises(ValueError, match=f"exponent delta must be <= {sys.maxsize}"):
+            classify(1, 2, 2, MAX_EXPONENT + 1)
 
     def test_parametrization_round_trip(self):
         for t in GRID:
@@ -232,6 +243,33 @@ class TestCertification:
             assert rk.find_termination_order(schema, max_weight).weights["a"] == 12
         summary = certify_family_system(tag, params)
         assert summary.certification == rk.Certification.COMPLETE
+
+
+# The tuples of [1..4]^4 whose all-weights-1 probe completion (grid
+# --checks probe) exceeds its 120 rules or 4,000 steps, all Case4, with the
+# steps completion takes under the order that certifies their schema.
+PROBE_LIMITED_STEPS = {
+    (1, 2, 4, 2): 44, (1, 3, 2, 2): 79, (1, 3, 3, 2): 95, (1, 3, 4, 2): 53,
+    (1, 3, 4, 3): 44, (1, 4, 2, 2): 80, (1, 4, 2, 3): 54, (1, 4, 3, 2): 95,
+    (1, 4, 3, 3): 69, (1, 4, 4, 2): 53, (1, 4, 4, 3): 45, (1, 4, 4, 4): 44,
+    (2, 4, 4, 2): 80,
+}
+
+
+class TestRederivation:
+    @pytest.mark.parametrize("t, steps", sorted(PROBE_LIMITED_STEPS.items()))
+    def test_completion_rederives_the_schema(self, grid_summaries, t, steps):
+        # where the shortlex probe diverges, completion under the schema's
+        # own order (a heavy, x > b) completes to exactly the schema's rules
+        summary = grid_summaries[t]
+        assert summary.tag.variant == Case.CASE4
+        order = summary.order
+        assert order.precedence == ("a", "x", "b")
+        assert order.weights["x"] == order.weights["b"] == 1
+        report = knuth_bendix(extended_presentation(summary.params), order)
+        assert report.completed
+        assert report.stats.steps == steps
+        assert set(report.system.rules) == set(summary.system.rules)
 
 
 class TestOracleNormalFormAgreement:
