@@ -10,8 +10,11 @@ certificate, a definite "not connected within the bound", or an
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate, repeat
+from operator import or_
 from typing import Optional
 
 from .confluence import knuth_bendix
@@ -21,9 +24,10 @@ from .words import Word, _random_words, _shortlex_words
 
 DEFAULT_NODE_BUDGET = 10**6
 MAX_EXHAUSTIVE_N = 14
-# Limits of the completion runs that look for a system to prune Dehn-table
-# seeds with.  A run that is not done within these rarely completes soon,
-# and every table pays for its runs, so they stay small.
+# Limits of the completion runs that look for a system to prune and bound
+# Dehn-table seeds with.  A run that is not done within these rarely
+# completes soon, and every presentation pays for its runs, so they stay
+# small.
 _PRUNE_LIMITS = {"max_rules": 10, "max_steps": 50}
 
 FORWARD, BACKWARD = "lr", "rl"
@@ -279,45 +283,90 @@ def _explore(rules, batch, words: list[Word], id_of: dict[Word, int],
     return added, rows, whole
 
 
-def _pruning_system(presentation: Presentation) -> Optional[RewritingSystem]:
-    """A complete system for the presentation, or None if none is found.
+@lru_cache(maxsize=16)
+def _complete_system(presentation: Presentation) -> Optional[tuple]:
+    """A complete system for the presentation with each rule's cost, as
+    ``(system, costs)``, or None if no system is found.  Every Dehn table
+    takes its system here, and a presentation's answer is kept.
 
     Tries all-weights-1 shortlex completion within :data:`_PRUNE_LIMITS`,
     first under the alphabet's own precedence and then under its reverse.
-    A completed system is self-checked by :func:`knuth_bendix`.
+    A completed system is self-checked by :func:`knuth_bendix`.  Rule r's
+    cost is the ``(d, s)`` of the :func:`equal_in_monoid` certificate of
+    lhs_r = rhs_r in the presentation, searched within max(|lhs_r|, |rhs_r|)
+    plus :func:`default_slack` letters and the default node budget; it is
+    None when the answer is not ``equal``.
     """
     letters = presentation.alphabet.letters
     weights = dict.fromkeys(letters, 1)
+    slack = default_slack(presentation)
     for precedence in (letters, letters[::-1]):
         report = knuth_bendix(presentation, ReductionOrder(weights, precedence),
                               **_PRUNE_LIMITS)
         if report.completed:
-            return report.system
+            costs = []
+            for lhs, rhs in report.system.rule_pairs():
+                cert = equal_in_monoid(presentation, lhs, rhs,
+                                       max(len(lhs), len(rhs)) + slack).certificate
+                costs.append(None if cert is None else (cert.d, cert.s))
+            return report.system, tuple(costs)
     return None
 
 
-def _partnered_seeds(presentation: Presentation, seeds) -> list[list[Word]]:
-    """The seeds that may be equal to another seed, grouped by normal form.
+class _Cost:
+    """The cost of one seed's reduction under a complete system's rule
+    ``pairs`` with their ``costs`` (:func:`_complete_system`), folded from
+    the steps that :func:`_reduce` appends to it as its trace.
 
-    Under a complete system two words are equal in the monoid exactly when
-    they share a normal form, so the seeds split into one group per normal
-    form, and a group of one seed is dropped.  Each group is in seed order,
-    and the groups are in the order of their first seeds.  Without a
-    complete system every seed stays, in one group.
+    A step that rewrites lhs_r inside a word w lifts, by rule r's
+    certificate, to d_r relation applications whose longest word is
+    |w| - |lhs_r| + s_r.  So for a seed u, ``c`` = c(u), the sum of d_r,
+    and ``s`` = S(u), the longest lifted word (|u| if u is already in
+    normal form), are the d and s of a derivation from u to its normal
+    form.  A step by a rule without a cost makes S(u) infinite: u gets no
+    bound.
     """
-    system = _pruning_system(presentation)
-    if system is None:
-        return [list(seeds)]
+
+    __slots__ = ("pairs", "costs", "c", "s")
+
+    def __init__(self, pairs, costs, w: Word) -> None:
+        self.pairs, self.costs = pairs, costs
+        self.c, self.s = 0, len(w)
+
+    def append(self, step) -> None:
+        idx, _, w = step  # w is the word after the step, holding rhs_r
+        cost = self.costs[idx]
+        if cost is None:
+            self.s = math.inf
+            return
+        d, s = cost
+        self.c += d
+        self.s = max(self.s, len(w) - len(self.pairs[idx][1]) + s)
+
+
+def _cost_classes(system: RewritingSystem, costs, seeds) -> list[list]:
+    """The seeds that may be equal to another seed, grouped by normal form
+    under the complete ``system``, each seed u as ``(u, c(u), S(u))``
+    (:class:`_Cost`).
+
+    Two words are equal in the monoid exactly when they share a normal
+    form, so a group of one seed is dropped.  Each group is in seed order,
+    and the groups are in descending order of their largest c(u), ties in
+    the order of their first seeds.
+    """
     pairs = system.rule_pairs()
-    groups: dict[Word, list[Word]] = {}
+    groups: dict[Word, list] = {}
     for w in seeds:
-        groups.setdefault(_reduce(pairs, w, DEFAULT_FUEL), []).append(w)
-    return [g for g in groups.values() if len(g) > 1]
+        cost = _Cost(pairs, costs, w)
+        groups.setdefault(_reduce(pairs, w, DEFAULT_FUEL, cost), []).append(
+            (w, cost.c, cost.s))
+    return sorted((g for g in groups.values() if len(g) > 1),
+                  key=lambda g: max(c for _, c, _ in g), reverse=True)
 
 
-def _measure_class(rules, seeds, cap: int, node_budget: int,
+def _measure_class(rules, seeds, costs, cap: int, node_budget: int,
                    max_d_at: list[int], pairs_at: list[int],
-                   space_at: list[int]) -> bool:
+                   space_at: list[int], sweep: bool = True) -> bool:
     """Add the Dehn, pair and space figures of the graph reachable from
     ``seeds`` under the directed ``rules`` into the per-threshold lists;
     True when :func:`_explore` dropped no word of this graph for
@@ -326,8 +375,13 @@ def _measure_class(rules, seeds, cap: int, node_budget: int,
 
     The seeds must be distinct and in nondecreasing length: they hold ids
     0..n_seeds-1 in that order, and the sweep's roots rely on it.
+    ``costs[i]`` is seed i's c (:class:`_Cost`) when its derivation to its
+    normal form stays within the cap, and None otherwise.
     ``max_d_at`` may already hold the figures of the table's earlier
     classes: the distance pass reads them as floors of the rows.
+    ``sweep=False`` is for a class whose every pair is bounded within the
+    space rows: no pair can raise them, and the seeds share one component,
+    so the sweep is skipped.
     """
     words = list(seeds)
     id_of = {w: i for i, w in enumerate(words)}
@@ -340,8 +394,9 @@ def _measure_class(rules, seeds, cap: int, node_budget: int,
         whole &= ok
         return added, rows
 
-    classes = _space_sweep(grow, words, cap, space_at)
-    _distance_pass(grow, words, adj, classes, max_d_at, pairs_at)
+    classes = (_space_sweep(grow, words, cap, space_at) if sweep
+               else {0: list(range(len(words)))})
+    _distance_pass(grow, words, adj, classes, costs, max_d_at, pairs_at)
     return whole
 
 
@@ -421,11 +476,11 @@ def _space_sweep(grow, words: list[Word], cap: int, space_at: list[int]):
 
 
 def _distance_pass(grow, words: list[Word], adj: list, classes: dict[int, list[int]],
-                   max_d_at: list[int], pairs_at: list[int]) -> None:
+                   costs: list, max_d_at: list[int], pairs_at: list[int]) -> None:
     """Raise ``max_d_at`` to the distances of the seed pairs within each of
     the sweep's ``classes``, and count those pairs in ``pairs_at``.
-    ``grow`` is as in :func:`_space_sweep`, and ``adj[i]`` is word i's row
-    once it is expanded.
+    ``grow`` is as in :func:`_space_sweep`, ``adj[i]`` is word i's row
+    once it is expanded, and ``costs`` is as in :func:`_measure_class`.
 
     One breadth-first search per class from all its seeds at once, level
     by level.  Bit b of ``seen[w]`` marks the class's b-th seed as reaching
@@ -438,12 +493,16 @@ def _distance_pass(grow, words: list[Word], adj: list, classes: dict[int, list[i
     is its distance while both seeds search: only a settled pair can meet
     after one of them has stopped.  Bit c of ``ball[d][b]`` marks a seed c
     that b met at d or less, from meets only, never from settlements.
+    Bit b of ``within[k]`` marks a seed whose cost is at most k.
 
     A seed stops spreading once each of its pairs is known: met, or
-    settled by :func:`_settled`.  The b-th seed of a class pairs with the b
-    seeds before it, at its own length, so ``pairs_at`` counts a pair
-    whether it was searched or settled.  The classes are disjoint
-    components, so they share the marks without clearing them.
+    settled by :func:`_settled`, before the first level and after each.
+    The search also stops at a level that reaches no new word, which only
+    a graph cut short by the node budget can leave with a pair apart.  The
+    b-th seed of a class pairs with the b seeds before it, at its own
+    length, so ``pairs_at`` counts a pair whether it was searched or
+    settled.  The classes are disjoint components, so they share the marks
+    without clearing them.
     """
     seen, fresh = [0] * len(words), [0] * len(words)
     for members in classes.values():
@@ -453,12 +512,35 @@ def _distance_pass(grow, words: list[Word], adj: list, classes: dict[int, list[i
             seen[u] = 1 << b
         if m == 1:
             continue
+        own = [costs[u] for u in members]
+        within = [0] * (max((c for c in own if c is not None), default=-1) + 1)
+        for b, c in enumerate(own):
+            if c is not None:
+                within[c] |= 1 << b
+        within = list(accumulate(within, or_))
         full = active = (1 << m) - 1
         known = [1 << b for b in range(m)]  # each seed and its known partners
         ball = [known.copy()]
         level = members
         k = 0
-        while active:
+        while True:
+            reach = list(accumulate(max_d_at, max))
+            g = active
+            while g:
+                b = g.bit_length() - 1
+                g ^= 1 << b
+                open_ = full & ~known[b]
+                if open_:
+                    settled = _settled(ball, b, reach[len(words[members[b]])], open_,
+                                       own[b], within)
+                    known[b] |= settled
+                    while settled:
+                        c = settled.bit_length() - 1
+                        settled ^= 1 << c
+                        known[c] |= 1 << b
+            active &= ~sum(1 << b for b in range(m) if known[b] == full)
+            if not (active and level):
+                break
             k += 1
             batch = [i for i in level if adj[i] is None and seen[i] & active]
             added, _ = grow(batch)
@@ -503,48 +585,64 @@ def _distance_pass(grow, words: list[Word], adj: list, classes: dict[int, list[i
                         if new & ((1 << b) - 1):
                             t = len(words[u])
                             max_d_at[t] = max(max_d_at[t], d)
-            reach = list(accumulate(max_d_at, max))
-            g = active
-            while g:
-                b = g.bit_length() - 1
-                g ^= 1 << b
-                open_ = full & ~known[b]
-                if open_:
-                    settled = _settled(ball, b, reach[len(words[members[b]])], open_)
-                    known[b] |= settled
-                    while settled:
-                        c = settled.bit_length() - 1
-                        settled ^= 1 << c
-                        known[c] |= 1 << b
-            active &= ~sum(1 << b for b in range(m) if known[b] == full)
             level = found
 
 
-def _settled(ball: list[list[int]], b: int, reach: int, open_: int) -> int:
-    """The mask of seed b's ``open_`` partners that a triangle bound settles:
-    the one place where a pair becomes known without a meet.
+def _settled(ball: list[list[int]], b: int, reach: int, open_: int,
+             cost: Optional[int], within: list[int]) -> int:
+    """The mask of seed b's ``open_`` partners that a bound settles: the one
+    place where a pair becomes known without a meet.
 
-    ``ball[d][b]`` marks the seeds that b has met within d, for d up to
-    the search's last distance.  ``reach`` is the largest distance met at
-    |b| or below, in this class or an earlier one.  The rows take a running
-    max, so reach is at most the final row at |b| and at every greater
-    length: a partner c that some seed w bounds within reach, by
-    d(b, w) + d(w, c), cannot raise its row, and is settled for both of
-    its seeds.  Every open pair is farther apart than the last distance, so
-    none is settled unless reach exceeds it.
+    ``reach`` is the largest distance met at |b| or below, in this class or
+    an earlier one.  The rows take a running max, so reach is at most the
+    final row at |b| and at every greater length: a partner c whose
+    distance from b is bounded within reach cannot raise its row, and is
+    settled for both of its seeds.  Two bounds are used.
+
+    - A priori: ``cost`` is b's c, or None, and ``within[k]`` marks the
+      seeds whose c is at most k (:func:`_distance_pass`).  b and c reach
+      their shared normal form by derivations within the cap of c(b) and
+      c(c) applications, so their distance is at most c(b) + c(c).
+    - Triangle: ``ball[d][b]`` marks the seeds that b has met within d, for
+      d up to the search's last distance.  A partner c that some seed w
+      bounds by d(b, w) + d(w, c) within reach is settled.  Every open pair
+      is farther apart than the last distance, so none is settled this way
+      unless reach exceeds it.
     """
+    near = 0  # the seeds within reach of b
+    if cost is not None and cost <= reach:
+        near = within[min(reach - cost, len(within) - 1)]
     top = len(ball) - 1
-    if reach <= top:
-        return 0
-    near = 0  # the seeds within reach of b through a seed b met
-    for d in range(1, top + 1):
-        first = ball[d][b] & ~ball[d - 1][b]  # the seeds b first met at d
-        rest = ball[min(reach - d, top)]
-        while first:
-            c = first.bit_length() - 1
-            first ^= 1 << c
-            near |= rest[c]
+    if reach > top:
+        for d in range(1, top + 1):
+            first = ball[d][b] & ~ball[d - 1][b]  # the seeds b first met at d
+            rest = ball[min(reach - d, top)]
+            while first:
+                c = first.bit_length() - 1
+                first ^= 1 << c
+                near |= rest[c]
     return near & open_
+
+
+def _bounded(group, dehn_row: list[int], space_row: list[int]) -> tuple[bool, bool]:
+    """Whether every pair of the class ``group`` (:func:`_cost_classes`) is
+    bounded within the Dehn rows, and whether within the space rows: for
+    each pair (u, v) at its threshold t = |v|, c(u) + c(v) against
+    ``dehn_row[t]``, and max(S(u), S(v)) against ``space_row[t]``, which is
+    within the cap.  The seeds are in nondecreasing length, so the later
+    seed's length is the threshold, and one pass with the largest c(u) and
+    S(u) of the seeds before it checks every pair.
+    """
+    _, top_c, top_s = group[0]
+    dehn_ok = space_ok = True
+    for w, c, s in group[1:]:
+        t = len(w)
+        dehn_ok &= top_c + c <= dehn_row[t]
+        space_ok &= max(top_s, s) <= space_row[t]
+        if not (dehn_ok or space_ok):
+            break
+        top_c, top_s = max(top_c, c), max(top_s, s)
+    return dehn_ok, space_ok
 
 
 def dehn_table(presentation: Presentation, n_max: int,
@@ -570,16 +668,35 @@ def dehn_table(presentation: Presentation, n_max: int,
     are non-decreasing in n.  A seed's trivial pair (x, x) gives its space
     entry, |x|, and is not counted as examined.  A relation application never
     leaves a normal-form class, so that graph is a disjoint union of one
-    graph per class: the seeds are grouped by normal form
-    (:func:`_partnered_seeds`), and each group's graph is grown, measured
-    and freed before the next one (:func:`_measure_class`), so only one
-    class's graph is held at a time.  Two passes give its figures, and a
-    word's neighbours are found (:func:`_explore`) only when one of them
-    first needs them: a union-find sweep gives the space entries and the
-    seeds' components (:func:`_space_sweep`), and one breadth-first search
-    per component, from all of its seeds at once, gives the Dehn entries
-    (:func:`_distance_pass`), settling the pairs that cannot raise their
-    row by a triangle bound instead of searching them (:func:`_settled`).
+    graph per class: the seeds are grouped by normal form under the
+    presentation's complete system (:func:`_complete_system`,
+    :func:`_cost_classes`), and each group's graph is grown, measured and
+    freed before the next one (:func:`_measure_class`), so only one class's
+    graph is held at a time.  Two passes give its figures, and a word's
+    neighbours are found (:func:`_explore`) only when one of them first
+    needs them: a union-find sweep gives the space entries and the seeds'
+    components (:func:`_space_sweep`), and one breadth-first search per
+    component, from all of its seeds at once, gives the Dehn entries
+    (:func:`_distance_pass`).
+
+    The system bounds every pair before any search (Madlener & Otto,
+    *J. Symbolic Computation* 1, 1985).  Each of its rules carries the d
+    and s of an oracle certificate in the presentation, so each seed u
+    reaches its normal form by a derivation of c(u) applications whose
+    longest word is S(u) (:class:`_Cost`).  A pair (u, v) whose S(u) and
+    S(v) are within the cap connects within it, at distance at most
+    c(u) + c(v) and under a least cap of at most max(S(u), S(v)).  The rows
+    are running maxima, so a pair whose bounds are within the rows already
+    known at its threshold cannot raise them.  The classes are taken in
+    descending order of their largest c(u), so the costliest raise the rows
+    first, and each is settled as far as its bounds allow
+    (:func:`_bounded`): a class whose every pair is bounded within both
+    rows only adds its pair count; one whose every pair is bounded within
+    the space row skips the sweep, since its seeds share one component; and
+    the distance pass settles each pair whose distance bound is within its
+    row before searching it, as it settles by a triangle bound the pairs
+    that its meets show cannot raise their row (:func:`_settled`).  A seed
+    whose reduction applies a rule without a certificate has no bound.
 
     Distances and least caps within the length cap do not depend on the
     order in which words are found, so the rows are those of the whole
@@ -590,10 +707,10 @@ def dehn_table(presentation: Presentation, n_max: int,
     because two words equal in the monoid share their normal form under
     any complete system for it, so a seed whose normal form no other seed
     shares has no partner, and its component adds nothing to the Dehn,
-    space or pair figures of the others.  Without a complete system every
-    seed is explored, in one graph; unless every seed equals every other,
-    they never all share one component, so the search finds every word
-    within the cap.
+    space or pair figures of the others.  Without a complete system no
+    pair is bounded and every seed is explored, in one graph; unless every
+    seed equals every other, they never all share one component, so the
+    search finds every word within the cap.
 
     ``node_budget`` caps the words found in each class's graph, not their
     sum: it guards memory, and a class's graph is all that is held at
@@ -627,10 +744,23 @@ def dehn_table(presentation: Presentation, n_max: int,
     for w in seeds:
         space_at[len(w)] = len(w)  # the trivial pair (w, w)
     rules = _directed(presentation.equations)
-    exhausted = True
-    for group in _partnered_seeds(presentation, seeds):
-        exhausted &= _measure_class(rules, group, cap, node_budget,
-                                    max_d_at, pairs_at, space_at)
+    found = _complete_system(presentation)
+    if found is None:  # every seed, in one class, with no bound
+        exhausted = _measure_class(rules, seeds, [None] * len(seeds), cap,
+                                   node_budget, max_d_at, pairs_at, space_at)
+    else:
+        exhausted = True
+        for group in _cost_classes(*found, seeds):
+            dehn_ok, space_ok = _bounded(group, list(accumulate(max_d_at, max)),
+                                         list(accumulate(space_at, max)))
+            if dehn_ok and space_ok:
+                for j, (w, _, _) in enumerate(group):
+                    pairs_at[len(w)] += j
+                continue
+            exhausted &= _measure_class(
+                rules, [w for w, _, _ in group],
+                [c if s <= cap else None for _, c, s in group], cap,
+                node_budget, max_d_at, pairs_at, space_at, sweep=not space_ok)
 
     exhaustive = sample_count is None and exhausted
     rows = zip(accumulate(max_d_at[1:], max), accumulate(space_at[1:], max),

@@ -3,6 +3,7 @@ import math
 import random
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -11,8 +12,10 @@ from hypothesis import given, settings, strategies as st
 import rewritekit as rk
 from rewritekit import analysis
 from rewritekit.analysis import (
-    _partnered_seeds,
-    _pruning_system,
+    EqualityCertificate,
+    _complete_system,
+    _Cost,
+    _cost_classes,
     dehn_table,
     enumerate_elements,
     equal_in_monoid,
@@ -454,7 +457,9 @@ class TestSeedPruning:
         pres = _family_presentation(exponents)
         if precedence == "ba":
             assert not _completion(pres, "ab").completed
-        assert _pruning_system(pres) == _completion(pres, precedence).system
+        system, costs = _complete_system(pres)
+        assert system == _completion(pres, precedence).system
+        assert len(costs) == len(system.rules)
         # the partner test of the family's own complete system, built by hand
         tag, params = rk.classify(*exponents)
         summary = rk.certify_family_system(tag, params)
@@ -463,25 +468,29 @@ class TestSeedPruning:
         seeds = list(_shortlex_words("ab", 8))
         forms = [_reduce(pairs, w, 10**6) for w in seeds]
         count = Counter(forms)
-        groups = _partnered_seeds(pres, seeds)
+        classes = _cost_classes(system, costs, seeds)
+        groups = [[w for w, _, _ in group] for group in classes]
         kept = [w for group in groups for w in group]
         assert sorted(kept, key=seeds.index) == \
             [w for w, f in zip(seeds, forms) if count[f] > 1]
         assert 0 < len(kept) < len(seeds)
-        # one group per normal form, each in seed order, ordered by first seed
+        # one group per normal form, each in seed order, ordered by their
+        # largest cost, the costliest first, ties by first seed
         group_forms = [{_reduce(pairs, w, 10**6) for w in group} for group in groups]
         assert all(len(f) == 1 for f in group_forms)
         assert len(set().union(*group_forms)) == len(groups)
         assert all(group == sorted(group, key=seeds.index) for group in groups)
-        firsts = [seeds.index(group[0]) for group in groups]
-        assert firsts == sorted(firsts)
+        keys = [(-max(c for _, c, _ in group), seeds.index(group[0][0]))
+                for group in classes]
+        assert keys == sorted(keys)
+        assert len({key[0] for key in keys}) > 1
 
-    def test_no_complete_system_explores_every_seed(self):
+    def test_no_complete_system_explores_every_seed(self, measured_classes):
         pres = _family_presentation((1, 3, 2, 2))
-        assert _pruning_system(pres) is None
-        seeds = list(_shortlex_words("ab", 8))
-        assert _partnered_seeds(pres, seeds) == [seeds]
+        assert _complete_system(pres) is None
         table = dehn_table(pres, 8)
+        seeds = list(_shortlex_words("ab", 8))
+        assert measured_classes == [(seeds, [None] * len(seeds), True)]
         assert _rows(table) == ROWS_1322_N8
         assert all(r.exhaustive for r in table)
 
@@ -491,9 +500,9 @@ class TestSeedPruning:
         pres = _family_presentation((1, 3, 2, 2))
         measure, classes = analysis._measure_class, []
 
-        def measuring(rules, seeds, *args):
+        def measuring(rules, seeds, *args, **kwargs):
             classes.append(list(seeds))
-            return measure(rules, seeds, *args)
+            return measure(rules, seeds, *args, **kwargs)
 
         monkeypatch.setattr(analysis, "_measure_class", measuring)
         table = dehn_table(pres, 6, sample_count=1, seed=0)
@@ -505,8 +514,7 @@ class TestSeedPruning:
     def test_rows_per_class_equal_rows_of_one_graph(self, exponents, monkeypatch):
         pres = _family_presentation(exponents)
         per_class = dehn_table(pres, 8)
-        monkeypatch.setattr(analysis, "_partnered_seeds",
-                            lambda presentation, seeds: [list(seeds)])
+        monkeypatch.setattr(analysis, "_complete_system", lambda presentation: None)
         assert dehn_table(pres, 8) == per_class
 
     def test_one_class_graph_at_a_time(self, demo, monkeypatch):
@@ -517,9 +525,9 @@ class TestSeedPruning:
         measure, explore = analysis._measure_class, analysis._explore
         forms = []  # per measured class: its seeds' forms, then its words'
 
-        def measuring(rules, seeds, *args):
+        def measuring(rules, seeds, *args, **kwargs):
             forms.append(({_reduce(pairs, w, 10**6) for w in seeds}, set()))
-            return measure(rules, seeds, *args)
+            return measure(rules, seeds, *args, **kwargs)
 
         def exploring(rules, batch, words, *args):
             result = explore(rules, batch, words, *args)
@@ -551,12 +559,14 @@ class TestOnDemandGraph:
             expanded[w] += 1
             return neighbors(rules, w, cap)
 
+        assert _complete_system(pres) is not None  # its searches go uncounted
         monkeypatch.setattr(analysis, "_neighbors", recorded)
         assert dehn_table(pres, 8) == reference_dehn_rows(pres.equations, 8, cap)
         # each word is expanded at most once, and the graph reachable from
         # the partnered seeds holds at least half as many words again
-        seeds = [w for group in _partnered_seeds(pres, words_up_to("ab", 8))
-                 for w in group]
+        seeds = [w for group in _cost_classes(*_complete_system(pres),
+                                              words_up_to("ab", 8))
+                 for w, _, _ in group]
         whole, _ = bfs_graph(pres.equations, seeds, cap)
         assert max(expanded.values()) == 1
         assert set(expanded) < whole
@@ -586,23 +596,25 @@ class TestOnDemandGraph:
         # need that many, so the table stays exhaustive at 30
         pres = _family_presentation((1, 1, 1, 2))
         cap = 7 + analysis.default_slack(pres)
-        groups = _partnered_seeds(pres, words_up_to("ab", 7))
+        groups = [[w for w, _, _ in group] for group in
+                  _cost_classes(*_complete_system(pres), words_up_to("ab", 7))]
         assert max(len(bfs_graph(pres.equations, g, cap)[0]) for g in groups) > 30
         table = dehn_table(pres, 7, node_budget=30)
         assert all(r.exhaustive and not r.truncated for r in table)
         assert table == dehn_table(pres, 7)
 
     def test_node_budget_boundary(self, demo, monkeypatch):
-        # the demo's n = 8 table measures 42 classes, and its largest class
-        # graph finds 382 words: that budget drops no word, one word fewer
-        # drops one, which marks every row truncated but moves no value
+        # the demo's n = 8 table measures 17 of its classes (the bounds
+        # settle the rest), and its largest class graph finds 378 words:
+        # that budget drops no word, one word fewer drops one, which marks
+        # every row truncated but moves no value
         _, pres, _ = demo
         measure, explore = analysis._measure_class, analysis._explore
         found = []  # per measured class: the most words its graph held
 
-        def measuring(rules, seeds, *args):
+        def measuring(rules, seeds, *args, **kwargs):
             found.append(len(seeds))
-            return measure(rules, seeds, *args)
+            return measure(rules, seeds, *args, **kwargs)
 
         def exploring(rules, batch, words, *args):
             result = explore(rules, batch, words, *args)
@@ -612,25 +624,31 @@ class TestOnDemandGraph:
         monkeypatch.setattr(analysis, "_measure_class", measuring)
         monkeypatch.setattr(analysis, "_explore", exploring)
         whole = dehn_table(pres, 8)
-        assert (len(found), max(found)) == (42, 382)
+        assert (len(found), max(found)) == (17, 378)
         monkeypatch.undo()
-        table = dehn_table(pres, 8, node_budget=382)
+        table = dehn_table(pres, 8, node_budget=378)
         assert table == whole
         assert all(r.exhaustive and not r.truncated for r in table)
-        table = dehn_table(pres, 8, node_budget=381)
+        table = dehn_table(pres, 8, node_budget=377)
         assert _rows(table) == _rows(whole) == DEMO_ROWS_N8
         assert all(r.truncated and not r.exhaustive for r in table)
 
 
 @pytest.fixture()
 def settled_pairs(monkeypatch):
-    """How many pairs the triangle rule settles while it is in use."""
-    settled = [0]
+    """How many pairs the a-priori bound settles, and how many more the
+    triangle rule settles, while the fixture is in use.  The first count
+    is read off ``_settled`` with the ball cut to the seeds themselves, so
+    that no triangle bound applies."""
+    settled = [0, 0]
     settle = analysis._settled
 
-    def counted(*args):
-        mask = settle(*args)
-        settled[0] += mask.bit_count()
+    def counted(ball, b, reach, open_, cost, within):
+        mask = settle(ball, b, reach, open_, cost, within)
+        a_priori = settle(ball[:1], b, reach, open_, cost, within)
+        assert mask & a_priori == a_priori
+        settled[0] += a_priori.bit_count()
+        settled[1] += (mask & ~a_priori).bit_count()
         return mask
 
     monkeypatch.setattr(analysis, "_settled", counted)
@@ -638,19 +656,21 @@ def settled_pairs(monkeypatch):
 
 
 class TestSettledPairs:
-    # the distance pass settles a pair without a meet when a seed met at
-    # both of its ends bounds it within the row it would raise.  Each table
-    # pins how many pairs it settles, so a rule that never fires fails here
+    # the distance pass settles a pair without a meet when its a-priori
+    # bound, or a seed met at both of its ends, bounds it within the row it
+    # would raise.  Each table pins how many pairs each rule settles, so a
+    # rule that never fires fails here.  (1,3,2,2) has no complete system,
+    # so no a-priori bound
     @pytest.mark.parametrize("exponents, n, settled", [
-        pytest.param((1, 1, 1, 1), 8, 1744, id="exponents0-8"),
-        pytest.param((2, 2, 2, 2), 9, 68, id="exponents1-9"),
-        pytest.param((1, 3, 2, 2), 8, 3, id="exponents2-8")])
+        pytest.param((1, 1, 1, 1), 8, [1058, 48], id="exponents0-8"),
+        pytest.param((2, 2, 2, 2), 9, [26, 2], id="exponents1-9"),
+        pytest.param((1, 3, 2, 2), 8, [0, 3], id="exponents2-8")])
     def test_rows_equal_the_reference(self, exponents, n, settled,
                                       settled_pairs):
         pres = _family_presentation(exponents)
         cap = n + analysis.default_slack(pres)
         assert dehn_table(pres, n) == reference_dehn_rows(pres.equations, n, cap)
-        assert settled_pairs == [settled]
+        assert settled_pairs == settled
 
     def test_random_rows_equal_the_reference(self, settled_pairs):
         pres = _family_presentation((1, 1, 1, 1))
@@ -662,14 +682,19 @@ class TestSettledPairs:
         assert _rows(table) == \
             _rows(reference_dehn_rows(pres.equations, n, cap, seeds))
         assert not any(r.exhaustive or r.truncated for r in table)
-        assert settled_pairs == [44]
+        assert settled_pairs == [59, 4]
 
     def test_words_expanded(self, monkeypatch, settled_pairs):
         # searching every pair until it met expanded 87,866 words on
-        # (1,1,1,1) n = 10; settling 28,479 pairs that cannot raise their
-        # row expands 45,718.  Only the sweep, the settle rule or a change
-        # to the graph itself may move the counts
+        # (1,1,1,1) n = 10, and settling by the triangle rule alone 45,718.
+        # Skipping the classes and sweeps that the a-priori bounds settle,
+        # and settling 23,314 pairs a priori and 729 more by the triangle
+        # rule, expands 15,684.  Only the sweep, the settle rules, the class
+        # order or a change to the graph itself may move the counts.  The
+        # system's certificates are searched first, so that their words are
+        # not counted
         pres = _family_presentation((1, 1, 1, 1))
+        assert _complete_system(pres) is not None
         neighbors, expanded = analysis._neighbors, []
 
         def recorded(rules, w, cap):
@@ -679,8 +704,8 @@ class TestSettledPairs:
         monkeypatch.setattr(analysis, "_neighbors", recorded)
         table = dehn_table(pres, 10)
         assert (table[-1].dehn, table[-1].pairs_examined) == (16, 32974)
-        assert len(expanded) == len(set(expanded)) == 45_718
-        assert settled_pairs == [28_479]
+        assert len(expanded) == len(set(expanded)) == 15_684
+        assert settled_pairs == [23_314, 729]
 
 
 _DEFAULT_SLACK_TABLES = [
@@ -698,7 +723,7 @@ _DEFAULT_SLACK_TABLES = [
     ((1, 1, 1, 1), True, 0), ((1, 1, 1, 1), True, 2)])
 def test_family_dehn_tables_match_per_pair_reference(exponents, prunes, slack):
     pres = _family_presentation(exponents)
-    assert (_pruning_system(pres) is not None) == prunes
+    assert (_complete_system(pres) is not None) == prunes
     table = dehn_table(pres, 6, slack=slack)
     if slack is None:
         slack = 2 * max(len(side) for eq in pres.equations for side in eq)
@@ -707,6 +732,175 @@ def test_family_dehn_tables_match_per_pair_reference(exponents, prunes, slack):
         assert table[-1].pairs_examined < dehn_table(pres, 6)[-1].pairs_examined
     assert table == reference_dehn_rows(pres.equations, 6, 6 + slack)
 
+
+
+@pytest.fixture()
+def measured_classes(monkeypatch):
+    """The (seeds, costs, sweep) of every class ``_measure_class`` measures
+    while the fixture is in use."""
+    calls = []
+    measure = analysis._measure_class
+
+    def measuring(rules, seeds, costs, *args, sweep=True):
+        calls.append((list(seeds), costs, sweep))
+        return measure(rules, seeds, costs, *args, sweep=sweep)
+
+    monkeypatch.setattr(analysis, "_measure_class", measuring)
+    return calls
+
+
+@pytest.fixture()
+def fresh_systems():
+    """An empty ``_complete_system`` cache, emptied again afterwards, for
+    tests that change what it would compute."""
+    _complete_system.cache_clear()
+    yield
+    _complete_system.cache_clear()
+
+
+# classes skipped whole, and measured classes whose sweep is skipped, on
+# the default-slack tables at n = 7
+_SKIPPED_N7 = {(1, 2, 2, 2): (10, 3), (1, 1, 1, 1): (28, 3), (2, 1, 3, 1): (13, 0),
+               (2, 2, 2, 2): (9, 0), (1, 3, 2, 2): (0, 0), (1, 2, 3, 2): (0, 0),
+               (1, 3, 2, 3): (0, 0)}
+
+
+class TestRuleCostBounds:
+    # Every pair (u, v) of a normal-form class is bounded before any search
+    # by c(u) + c(v) and max(S(u), S(v)), read off the certificates of the
+    # system's rules along each seed's reduction
+    # the rules that some reduction of a seed up to length 8 applies
+    @pytest.mark.parametrize("exponents, applied", [
+        ((1, 2, 2, 2), {0, 2, 4}), ((1, 1, 1, 1), {0, 1})])
+    def test_certificates_splice_along_each_reduction(self, exponents, applied):
+        # each step's rule certificate, set into the step's context, gives
+        # a derivation of the seed to its normal form whose d and s are the
+        # seed's c and S
+        pres = _family_presentation(exponents)
+        system, costs = _complete_system(pres)
+        pairs = system.rule_pairs()
+        slack = analysis.default_slack(pres)
+        certs = []
+        for (lhs, rhs), cost in zip(pairs, costs):
+            cert = equal_in_monoid(pres, lhs, rhs, max(len(lhs), len(rhs)) + slack).certificate
+            assert (cert.d, cert.s) == cost
+            certs.append(cert)
+        used = set()
+        for u in words_up_to("ab", 8):
+            steps = []
+            nf = _reduce(pairs, u, 10**6, steps)
+            cost = _Cost(pairs, costs, u)
+            assert _reduce(pairs, u, 10**6, cost) == nf
+            chain, apps, w = [u], [], u
+            for idx, pos, after in steps:
+                head, tail = w[:pos], w[pos + len(pairs[idx][0]):]
+                chain += [head + x + tail for x in certs[idx].chain[1:]]
+                apps += [(eq, way, pos + p) for eq, way, p in certs[idx].applications]
+                w = after
+                assert chain[-1] == w
+                used.add(idx)
+            spliced = EqualityCertificate(tuple(chain), tuple(apps), len(apps),
+                                          max(map(len, chain)))
+            assert spliced.replay(pres)
+            assert (spliced.d, spliced.s) == (cost.c, cost.s)
+        assert used == applied
+
+    # (skipped classes, measured classes whose sweep is skipped) at n = 7.
+    # At slack 0 no seed that needs a rule with a certificate longer than
+    # its sides reaches its normal form within the cap, and every class
+    # holds one, so none is skipped.  Without a complete system nothing is
+    # bounded, and every seed is measured in one class
+    @pytest.mark.parametrize("exponents, slack, skipped, unswept", [
+        *((e, None, *_SKIPPED_N7[e]) for e, _ in _DEFAULT_SLACK_TABLES),
+        ((1, 1, 1, 1), 0, 0, 0), ((1, 1, 1, 1), 2, 13, 1)])
+    def test_rows_equal_the_reference(self, exponents, slack, skipped, unswept,
+                                      measured_classes):
+        pres = _family_presentation(exponents)
+        n = 7
+        cap = n + (analysis.default_slack(pres) if slack is None else slack)
+        table = dehn_table(pres, n, slack=slack)
+        assert table == reference_dehn_rows(pres.equations, n, cap)
+        found = _complete_system(pres)
+        seeds = words_up_to("ab", n)
+        if found is None:
+            assert measured_classes == [(seeds, [None] * len(seeds), True)]
+            return
+        classes = _cost_classes(*found, seeds)
+        assert len(classes) - len(measured_classes) == skipped
+        assert sum(not sweep for _, _, sweep in measured_classes) == unswept
+
+    def test_random_rows_equal_the_reference(self, measured_classes):
+        pres = _family_presentation((1, 1, 1, 1))
+        n, count, seed = 9, 200, 1
+        seeds = sorted(set(_random_words("ab", count, 1, n, seed)),
+                       key=lambda w: (len(w), w))
+        table = dehn_table(pres, n, sample_count=count, seed=seed)
+        cap = n + analysis.default_slack(pres)
+        assert _rows(table) == \
+            _rows(reference_dehn_rows(pres.equations, n, cap, seeds))
+        classes = _cost_classes(*_complete_system(pres), seeds)
+        assert (len(classes), len(measured_classes)) == (23, 9)
+
+    def test_a_rule_without_a_certificate_bounds_nothing(self, fresh_systems,
+                                                        monkeypatch,
+                                                        measured_classes):
+        # the demo's rules need 34, 225, 7, 340 and 85 nodes for their
+        # certificates.  Under 80 three of them get no cost, every seed
+        # whose reduction applies one of those gets no bound, and each class
+        # that holds such a seed is measured and swept; the rows do not move
+        pres = _family_presentation((1, 2, 2, 2))
+        system, full = _complete_system(pres)
+        _complete_system.cache_clear()
+        monkeypatch.setattr(analysis, "equal_in_monoid",
+                            partial(equal_in_monoid, node_budget=80))
+        system_80, costs = _complete_system(pres)
+        assert system_80 == system
+        assert costs == (full[0], None, full[2], None, None)
+        pairs = system.rule_pairs()
+        classes = _cost_classes(system, costs, words_up_to("ab", 8))
+        unbounded = set()
+        for group in classes:
+            for w, _, s in group:
+                steps = []
+                _reduce(pairs, w, 10**6, steps)
+                assert (s == math.inf) == any(costs[idx] is None for idx, _, _ in steps)
+                if s == math.inf:
+                    unbounded.add(w)
+        table = dehn_table(pres, 8)
+        assert _rows(table) == DEMO_ROWS_N8
+        assert all(r.exhaustive for r in table)
+        measured = {tuple(seeds): (seed_costs, sweep)
+                    for seeds, seed_costs, sweep in measured_classes}
+        held = [tuple(w for w, _, _ in g) for g in classes
+                if unbounded.intersection(w for w, _, _ in g)]
+        assert (len(unbounded), len(held)) == (36, 16)
+        for seeds in held:
+            seed_costs, sweep = measured[seeds]
+            assert sweep
+            assert all(c is None for w, c in zip(seeds, seed_costs) if w in unbounded)
+        # under the full costs 17 of the 42 classes are measured
+        assert len(measured) == 18
+
+    def test_a_rule_without_a_certificate_within_the_bound(self):
+        # (1,1,4,1)'s system has the rule abb = bab, which no derivation
+        # within |bab| + 14 letters shows, so that rule gets no cost, and
+        # exactly the seeds whose reduction applies it get no bound
+        pres = _family_presentation((1, 1, 4, 1))
+        system, costs = _complete_system(pres)
+        pairs = system.rule_pairs()
+        missing = [k for k, cost in enumerate(costs) if cost is None]
+        assert [set(pairs[k]) for k in missing] == [{"abb", "bab"}]
+        applied = 0
+        for group in _cost_classes(system, costs, words_up_to("ab", 7)):
+            for w, _, s in group:
+                steps = []
+                _reduce(pairs, w, 10**6, steps)
+                uses = any(idx in missing for idx, _, _ in steps)
+                assert (s == math.inf) == uses
+                applied += uses
+        assert applied
+        cap = 7 + analysis.default_slack(pres)
+        assert dehn_table(pres, 7) == reference_dehn_rows(pres.equations, 7, cap)
 
 # The length cap n_max + slack bends the last rows of some family tables:
 # under its default slack (12) abaaab reads 6n - 12 up to n_max - 3 and

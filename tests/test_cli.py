@@ -196,7 +196,10 @@ class TestExitCodes:
 
     def test_budget_exhaustion_on_truncated_random_dehn_table(self, pres_file, capsys):
         # random rows are never exhaustive, so only the exit code and the
-        # note tell the cut table (d = 6 at n = 10) from the whole one (d = 10)
+        # note tell the cut table (d = 6 at n = 10) from the whole one (d = 10).
+        # The cut table counts 24 pairs: those of the classes whose bounds
+        # connect every pair within the cap, and whose graphs are therefore
+        # neither swept nor cut apart by the budget, count whole
         argv = ["dehn", "--presentation", pres_file, "--n", "10",
                 "--mode", "random:600", "--seed", "1"]
         assert cli.main(argv) == 0
@@ -205,7 +208,7 @@ class TestExitCodes:
         assert captured.err == ""
         assert cli.main(argv + ["--nodes", "40"]) == 3
         captured = capsys.readouterr()
-        assert captured.out.splitlines()[-1].split() == ["10", "6", "19", "22", "False"]
+        assert captured.out.splitlines()[-1].split() == ["10", "6", "19", "24", "False"]
         assert captured.err.startswith("budget exhausted:")
         assert len(captured.err.splitlines()) == 1
 
