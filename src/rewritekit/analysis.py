@@ -313,55 +313,46 @@ def _complete_system(presentation: Presentation) -> Optional[tuple]:
     return None
 
 
-class _Cost:
-    """The cost of one seed's reduction under a complete system's rule
-    ``pairs`` with their ``costs`` (:func:`_complete_system`), folded from
-    the steps that :func:`_reduce` appends to it as its trace.
+def _seed_cost(pairs, costs, w: Word) -> tuple[Word, int, float]:
+    """Seed w's normal form under a complete system's rule ``pairs`` with
+    their ``costs`` (:func:`_complete_system`), with c(w) and S(w), folded
+    from the steps of its reduction.
 
-    A step that rewrites lhs_r inside a word w lifts, by rule r's
+    A step that rewrites lhs_r inside a word v lifts, by rule r's
     certificate, to d_r relation applications whose longest word is
-    |w| - |lhs_r| + s_r.  So for a seed u, ``c`` = c(u), the sum of d_r,
-    and ``s`` = S(u), the longest lifted word (|u| if u is already in
-    normal form), are the d and s of a derivation from u to its normal
-    form.  A step by a rule without a cost makes S(u) infinite: u gets no
-    bound.
+    |v| - |lhs_r| + s_r.  So c(w), the sum of d_r, and S(w), the longest
+    lifted word (|w| if w is already in normal form), are the d and s of a
+    derivation from w to its normal form.  A step by a rule without a cost
+    makes S(w) infinite: w gets no bound.
     """
-
-    __slots__ = ("pairs", "costs", "c", "s")
-
-    def __init__(self, pairs, costs, w: Word) -> None:
-        self.pairs, self.costs = pairs, costs
-        self.c, self.s = 0, len(w)
-
-    def append(self, step) -> None:
-        idx, _, w = step  # w is the word after the step, holding rhs_r
-        cost = self.costs[idx]
+    steps: list = []
+    nf = _reduce(pairs, w, DEFAULT_FUEL, steps)
+    c, s = 0, len(w)
+    for idx, _, after in steps:  # after is the word after the step, holding rhs_r
+        cost = costs[idx]
         if cost is None:
-            self.s = math.inf
-            return
-        d, s = cost
-        self.c += d
-        self.s = max(self.s, len(w) - len(self.pairs[idx][1]) + s)
+            s = math.inf
+        else:
+            c += cost[0]
+            s = max(s, len(after) - len(pairs[idx][1]) + cost[1])
+    return nf, c, s
 
 
 def _cost_classes(system: RewritingSystem, costs, seeds) -> list[list]:
     """The seeds that may be equal to another seed, grouped by normal form
     under the complete ``system``, each seed u as ``(u, c(u), S(u))``
-    (:class:`_Cost`).
+    (:func:`_seed_cost`).
 
     Two words are equal in the monoid exactly when they share a normal
     form, so a group of one seed is dropped.  Each group is in seed order,
-    and the groups are in descending order of their largest c(u), ties in
-    the order of their first seeds.
+    and the groups are in the order of their first seeds.
     """
     pairs = system.rule_pairs()
     groups: dict[Word, list] = {}
     for w in seeds:
-        cost = _Cost(pairs, costs, w)
-        groups.setdefault(_reduce(pairs, w, DEFAULT_FUEL, cost), []).append(
-            (w, cost.c, cost.s))
-    return sorted((g for g in groups.values() if len(g) > 1),
-                  key=lambda g: max(c for _, c, _ in g), reverse=True)
+        nf, c, s = _seed_cost(pairs, costs, w)
+        groups.setdefault(nf, []).append((w, c, s))
+    return [g for g in groups.values() if len(g) > 1]
 
 
 def _measure_class(rules, seeds, costs, cap: int, node_budget: int,
@@ -375,8 +366,8 @@ def _measure_class(rules, seeds, costs, cap: int, node_budget: int,
 
     The seeds must be distinct and in nondecreasing length: they hold ids
     0..n_seeds-1 in that order, and the sweep's roots rely on it.
-    ``costs[i]`` is seed i's c (:class:`_Cost`) when its derivation to its
-    normal form stays within the cap, and None otherwise.
+    ``costs[i]`` is seed i's c (:func:`_seed_cost`) when its derivation to
+    its normal form stays within the cap, and None otherwise.
     ``max_d_at`` may already hold the figures of the table's earlier
     classes: the distance pass reads them as floors of the rows.
     ``sweep=False`` is for a class whose every pair is bounded within the
@@ -394,13 +385,13 @@ def _measure_class(rules, seeds, costs, cap: int, node_budget: int,
         whole &= ok
         return added, rows
 
-    classes = (_space_sweep(grow, words, cap, space_at) if sweep
+    classes = (_space_sweep(grow, words, space_at) if sweep
                else {0: list(range(len(words)))})
     _distance_pass(grow, words, adj, classes, costs, max_d_at, pairs_at)
     return whole
 
 
-def _space_sweep(grow, words: list[Word], cap: int, space_at: list[int]):
+def _space_sweep(grow, words: list[Word], space_at: list[int]):
     """Raise ``space_at`` to the least length caps under which the seeds,
     the ``words`` on entry, connect, and group the seeds by component.
     ``grow(batch)`` is :func:`_explore` on the class's graph: it expands
@@ -416,9 +407,10 @@ def _space_sweep(grow, words: list[Word], cap: int, space_at: list[int]):
     Level L expands every word that words no longer than L join to a seed,
     and no other: a word found no longer than the level joins the level's
     bucket, which grows while it is walked, and a longer one waits in its
-    own.  An edge becomes usable when its later endpoint activates, so
-    unioning on activation makes the level the exact minimax requirement
-    for every pair the union newly connects.  ``parent[j]`` is -1 until j
+    own, made when the first word of its length is found.  An edge becomes
+    usable when its later endpoint activates, so unioning on activation
+    makes the level the exact minimax requirement for every pair the union
+    newly connects.  ``parent[j]`` is -1 until j
     activates, and a union links under the lesser root, so a root is its
     class's least id.  The seeds hold ids 0..n_seeds-1 in nondecreasing
     length, so a root is below n_seeds exactly when its class holds a seed,
@@ -431,11 +423,13 @@ def _space_sweep(grow, words: list[Word], cap: int, space_at: list[int]):
     """
     n_seeds = len(words)
     parent = [-1] * n_seeds
-    buckets: list[list[int]] = [[] for _ in range(cap + 1)]
+    buckets: list[list[int]] = [[] for _ in range(len(words[-1]) + 1)]
     for i, w in enumerate(words):
         buckets[len(w)].append(i)
     joins_left = n_seeds - 1
-    for level, bucket in enumerate(buckets):
+    for level, bucket in enumerate(buckets):  # buckets grows as words are found
+        if not joins_left:
+            break
         pos = 0
         while joins_left and pos < len(bucket):
             batch = bucket[pos:]
@@ -444,6 +438,8 @@ def _space_sweep(grow, words: list[Word], cap: int, space_at: list[int]):
             parent.extend(repeat(-1, len(added)))
             for j in added:
                 L = len(words[j])
+                if L >= len(buckets):
+                    buckets.extend([] for _ in range(L + 1 - len(buckets)))
                 buckets[L if L > level else level].append(j)
             for i, row in zip(batch, rows):
                 parent[i] = r = i  # r: the root of i's class
@@ -683,13 +679,13 @@ def dehn_table(presentation: Presentation, n_max: int,
     *J. Symbolic Computation* 1, 1985).  Each of its rules carries the d
     and s of an oracle certificate in the presentation, so each seed u
     reaches its normal form by a derivation of c(u) applications whose
-    longest word is S(u) (:class:`_Cost`).  A pair (u, v) whose S(u) and
-    S(v) are within the cap connects within it, at distance at most
+    longest word is S(u) (:func:`_seed_cost`).  A pair (u, v) whose S(u)
+    and S(v) are within the cap connects within it, at distance at most
     c(u) + c(v) and under a least cap of at most max(S(u), S(v)).  The rows
     are running maxima, so a pair whose bounds are within the rows already
-    known at its threshold cannot raise them.  The classes are taken in
-    descending order of their largest c(u), so the costliest raise the rows
-    first, and each is settled as far as its bounds allow
+    known at its threshold cannot raise them, whichever classes were
+    measured before it.  The classes are taken in the order of their first
+    seeds, and each is settled as far as its bounds allow
     (:func:`_bounded`): a class whose every pair is bounded within both
     rows only adds its pair count; one whose every pair is bounded within
     the space row skips the sweep, since its seeds share one component; and
@@ -707,10 +703,11 @@ def dehn_table(presentation: Presentation, n_max: int,
     because two words equal in the monoid share their normal form under
     any complete system for it, so a seed whose normal form no other seed
     shares has no partner, and its component adds nothing to the Dehn,
-    space or pair figures of the others.  Without a complete system no
-    pair is bounded and every seed is explored, in one graph; unless every
-    seed equals every other, they never all share one component, so the
-    search finds every word within the cap.
+    space or pair figures of the others.  Without a complete system the
+    seeds form one group with no bound (c and S infinite), measured in one
+    graph unless it holds a single seed; unless every seed equals every
+    other, they never all share one component, so the search finds every
+    word within the cap.
 
     ``node_budget`` caps the words found in each class's graph, not their
     sum: it guards memory, and a class's graph is all that is held at
@@ -745,22 +742,19 @@ def dehn_table(presentation: Presentation, n_max: int,
         space_at[len(w)] = len(w)  # the trivial pair (w, w)
     rules = _directed(presentation.equations)
     found = _complete_system(presentation)
-    if found is None:  # every seed, in one class, with no bound
-        exhausted = _measure_class(rules, seeds, [None] * len(seeds), cap,
-                                   node_budget, max_d_at, pairs_at, space_at)
-    else:
-        exhausted = True
-        for group in _cost_classes(*found, seeds):
-            dehn_ok, space_ok = _bounded(group, list(accumulate(max_d_at, max)),
-                                         list(accumulate(space_at, max)))
-            if dehn_ok and space_ok:
-                for j, (w, _, _) in enumerate(group):
-                    pairs_at[len(w)] += j
-                continue
-            exhausted &= _measure_class(
-                rules, [w for w, _, _ in group],
-                [c if s <= cap else None for _, c, s in group], cap,
-                node_budget, max_d_at, pairs_at, space_at, sweep=not space_ok)
+    exhausted = True
+    for group in (_cost_classes(*found, seeds) if found
+                  else [[(w, math.inf, math.inf) for w in seeds]]):
+        dehn_ok, space_ok = _bounded(group, list(accumulate(max_d_at, max)),
+                                     list(accumulate(space_at, max)))
+        if dehn_ok and space_ok:
+            for j, (w, _, _) in enumerate(group):
+                pairs_at[len(w)] += j
+            continue
+        exhausted &= _measure_class(
+            rules, [w for w, _, _ in group],
+            [c if s <= cap else None for _, c, s in group], cap,
+            node_budget, max_d_at, pairs_at, space_at, sweep=not space_ok)
 
     exhaustive = sample_count is None and exhausted
     rows = zip(accumulate(max_d_at[1:], max), accumulate(space_at[1:], max),

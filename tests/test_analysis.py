@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import partial
@@ -14,8 +15,8 @@ from rewritekit import analysis
 from rewritekit.analysis import (
     EqualityCertificate,
     _complete_system,
-    _Cost,
     _cost_classes,
+    _seed_cost,
     dehn_table,
     enumerate_elements,
     equal_in_monoid,
@@ -474,16 +475,14 @@ class TestSeedPruning:
         assert sorted(kept, key=seeds.index) == \
             [w for w, f in zip(seeds, forms) if count[f] > 1]
         assert 0 < len(kept) < len(seeds)
-        # one group per normal form, each in seed order, ordered by their
-        # largest cost, the costliest first, ties by first seed
+        # one group per normal form, each in seed order, and the groups in
+        # the order of their first seeds
         group_forms = [{_reduce(pairs, w, 10**6) for w in group} for group in groups]
         assert all(len(f) == 1 for f in group_forms)
         assert len(set().union(*group_forms)) == len(groups)
         assert all(group == sorted(group, key=seeds.index) for group in groups)
-        keys = [(-max(c for _, c, _ in group), seeds.index(group[0][0]))
-                for group in classes]
-        assert keys == sorted(keys)
-        assert len({key[0] for key in keys}) > 1
+        firsts = [seeds.index(group[0]) for group in groups]
+        assert firsts == sorted(firsts)
 
     def test_no_complete_system_explores_every_seed(self, measured_classes):
         pres = _family_presentation((1, 3, 2, 2))
@@ -494,19 +493,13 @@ class TestSeedPruning:
         assert _rows(table) == ROWS_1322_N8
         assert all(r.exhaustive for r in table)
 
-    def test_a_lone_seed_is_measured_alone(self, monkeypatch):
-        # one random sample and no complete system: one class of one seed,
-        # so no pair, and the seed's trivial pair gives the space, its length
+    def test_a_lone_seed_is_measured_alone(self, measured_classes):
+        # one random sample and no complete system: one group of one seed,
+        # so no pair, and the bounds settle it with no class measured; the
+        # seed's trivial pair gives the space, its length
         pres = _family_presentation((1, 3, 2, 2))
-        measure, classes = analysis._measure_class, []
-
-        def measuring(rules, seeds, *args, **kwargs):
-            classes.append(list(seeds))
-            return measure(rules, seeds, *args, **kwargs)
-
-        monkeypatch.setattr(analysis, "_measure_class", measuring)
         table = dehn_table(pres, 6, sample_count=1, seed=0)
-        assert [len(seeds) for seeds in classes] == [1]
+        assert measured_classes == []
         assert _rows(table) == [(n, 0, 0 if n < 4 else 4, 0) for n in range(1, 7)]
         assert not any(r.exhaustive or r.truncated for r in table)
 
@@ -591,6 +584,22 @@ class TestOnDemandGraph:
                 (L // 2) * (L - L // 2), L, pairs)
             assert row.exhaustive
 
+    def test_slack_costs_nothing_where_no_word_grows(self, monkeypatch):
+        # ab = ba keeps every word's length, so no slack changes the rows,
+        # and without a complete system its seeds never all connect, so
+        # the sweep walks every level it has: one per word length found,
+        # not one per length under the cap
+        pres = rk.Presentation(AB, (("ab", "ba"),))
+        monkeypatch.setattr(analysis, "_complete_system", lambda presentation: None)
+        tracemalloc.start()
+        try:
+            table = dehn_table(pres, 6, slack=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table == dehn_table(pres, 6, slack=0)
+        assert peak < 4 * 2**20
+
     def test_budget_caps_only_the_words_found(self):
         # some class's whole graph outgrows 30 words, but the rows never
         # need that many, so the table stays exhaustive at 30
@@ -604,7 +613,7 @@ class TestOnDemandGraph:
         assert table == dehn_table(pres, 7)
 
     def test_node_budget_boundary(self, demo, monkeypatch):
-        # the demo's n = 8 table measures 17 of its classes (the bounds
+        # the demo's n = 8 table measures 18 of its classes (the bounds
         # settle the rest), and its largest class graph finds 378 words:
         # that budget drops no word, one word fewer drops one, which marks
         # every row truncated but moves no value
@@ -624,7 +633,7 @@ class TestOnDemandGraph:
         monkeypatch.setattr(analysis, "_measure_class", measuring)
         monkeypatch.setattr(analysis, "_explore", exploring)
         whole = dehn_table(pres, 8)
-        assert (len(found), max(found)) == (17, 378)
+        assert (len(found), max(found)) == (18, 378)
         monkeypatch.undo()
         table = dehn_table(pres, 8, node_budget=378)
         assert table == whole
@@ -662,8 +671,8 @@ class TestSettledPairs:
     # rule that never fires fails here.  (1,3,2,2) has no complete system,
     # so no a-priori bound
     @pytest.mark.parametrize("exponents, n, settled", [
-        pytest.param((1, 1, 1, 1), 8, [1058, 48], id="exponents0-8"),
-        pytest.param((2, 2, 2, 2), 9, [26, 2], id="exponents1-9"),
+        pytest.param((1, 1, 1, 1), 8, [1446, 149], id="exponents0-8"),
+        pytest.param((2, 2, 2, 2), 9, [68, 16], id="exponents1-9"),
         pytest.param((1, 3, 2, 2), 8, [0, 3], id="exponents2-8")])
     def test_rows_equal_the_reference(self, exponents, n, settled,
                                       settled_pairs):
@@ -682,14 +691,14 @@ class TestSettledPairs:
         assert _rows(table) == \
             _rows(reference_dehn_rows(pres.equations, n, cap, seeds))
         assert not any(r.exhaustive or r.truncated for r in table)
-        assert settled_pairs == [59, 4]
+        assert settled_pairs == [69, 4]
 
     def test_words_expanded(self, monkeypatch, settled_pairs):
         # searching every pair until it met expanded 87,866 words on
         # (1,1,1,1) n = 10, and settling by the triangle rule alone 45,718.
         # Skipping the classes and sweeps that the a-priori bounds settle,
-        # and settling 23,314 pairs a priori and 729 more by the triangle
-        # rule, expands 15,684.  Only the sweep, the settle rules, the class
+        # and settling 23,661 pairs a priori and 952 more by the triangle
+        # rule, expands 13,671.  Only the sweep, the settle rules, the class
         # order or a change to the graph itself may move the counts.  The
         # system's certificates are searched first, so that their words are
         # not counted
@@ -704,8 +713,8 @@ class TestSettledPairs:
         monkeypatch.setattr(analysis, "_neighbors", recorded)
         table = dehn_table(pres, 10)
         assert (table[-1].dehn, table[-1].pairs_examined) == (16, 32974)
-        assert len(expanded) == len(set(expanded)) == 15_684
-        assert settled_pairs == [23_314, 729]
+        assert len(expanded) == len(set(expanded)) == 13_671
+        assert settled_pairs == [23_661, 952]
 
 
 _DEFAULT_SLACK_TABLES = [
@@ -758,13 +767,6 @@ def fresh_systems():
     _complete_system.cache_clear()
 
 
-# classes skipped whole, and measured classes whose sweep is skipped, on
-# the default-slack tables at n = 7
-_SKIPPED_N7 = {(1, 2, 2, 2): (10, 3), (1, 1, 1, 1): (28, 3), (2, 1, 3, 1): (13, 0),
-               (2, 2, 2, 2): (9, 0), (1, 3, 2, 2): (0, 0), (1, 2, 3, 2): (0, 0),
-               (1, 3, 2, 3): (0, 0)}
-
-
 class TestRuleCostBounds:
     # Every pair (u, v) of a normal-form class is bounded before any search
     # by c(u) + c(v) and max(S(u), S(v)), read off the certificates of the
@@ -789,8 +791,8 @@ class TestRuleCostBounds:
         for u in words_up_to("ab", 8):
             steps = []
             nf = _reduce(pairs, u, 10**6, steps)
-            cost = _Cost(pairs, costs, u)
-            assert _reduce(pairs, u, 10**6, cost) == nf
+            cost_nf, c, s = _seed_cost(pairs, costs, u)
+            assert cost_nf == nf
             chain, apps, w = [u], [], u
             for idx, pos, after in steps:
                 head, tail = w[:pos], w[pos + len(pairs[idx][0]):]
@@ -802,17 +804,26 @@ class TestRuleCostBounds:
             spliced = EqualityCertificate(tuple(chain), tuple(apps), len(apps),
                                           max(map(len, chain)))
             assert spliced.replay(pres)
-            assert (spliced.d, spliced.s) == (cost.c, cost.s)
+            assert (spliced.d, spliced.s) == (c, s)
         assert used == applied
 
     # (skipped classes, measured classes whose sweep is skipped) at n = 7.
     # At slack 0 no seed that needs a rule with a certificate longer than
     # its sides reaches its normal form within the cap, and every class
     # holds one, so none is skipped.  Without a complete system nothing is
-    # bounded, and every seed is measured in one class
+    # bounded, and every seed is measured in one class.  The counts depend
+    # on the class order; the ids are the ones the cases were first
+    # collected under, which hold the counts of the costliest-first order
     @pytest.mark.parametrize("exponents, slack, skipped, unswept", [
-        *((e, None, *_SKIPPED_N7[e]) for e, _ in _DEFAULT_SLACK_TABLES),
-        ((1, 1, 1, 1), 0, 0, 0), ((1, 1, 1, 1), 2, 13, 1)])
+        pytest.param((1, 2, 2, 2), None, 9, 3, id="exponents0-None-10-3"),
+        pytest.param((1, 1, 1, 1), None, 23, 9, id="exponents1-None-28-3"),
+        pytest.param((2, 1, 3, 1), None, 12, 1, id="exponents2-None-13-0"),
+        pytest.param((2, 2, 2, 2), None, 5, 4, id="exponents3-None-9-0"),
+        pytest.param((1, 3, 2, 2), None, 0, 0, id="exponents4-None-0-0"),
+        pytest.param((1, 2, 3, 2), None, 0, 0, id="exponents5-None-0-0"),
+        pytest.param((1, 3, 2, 3), None, 0, 0, id="exponents6-None-0-0"),
+        pytest.param((1, 1, 1, 1), 0, 0, 0, id="exponents7-0-0-0"),
+        pytest.param((1, 1, 1, 1), 2, 9, 5, id="exponents8-2-13-1")])
     def test_rows_equal_the_reference(self, exponents, slack, skipped, unswept,
                                       measured_classes):
         pres = _family_presentation(exponents)
@@ -839,7 +850,7 @@ class TestRuleCostBounds:
         assert _rows(table) == \
             _rows(reference_dehn_rows(pres.equations, n, cap, seeds))
         classes = _cost_classes(*_complete_system(pres), seeds)
-        assert (len(classes), len(measured_classes)) == (23, 9)
+        assert (len(classes), len(measured_classes)) == (23, 12)
 
     def test_a_rule_without_a_certificate_bounds_nothing(self, fresh_systems,
                                                         monkeypatch,
@@ -878,7 +889,7 @@ class TestRuleCostBounds:
             seed_costs, sweep = measured[seeds]
             assert sweep
             assert all(c is None for w, c in zip(seeds, seed_costs) if w in unbounded)
-        # under the full costs 17 of the 42 classes are measured
+        # under the full costs 18 of the 42 classes are measured
         assert len(measured) == 18
 
     def test_a_rule_without_a_certificate_within_the_bound(self):
@@ -901,6 +912,31 @@ class TestRuleCostBounds:
         assert applied
         cap = 7 + analysis.default_slack(pres)
         assert dehn_table(pres, 7) == reference_dehn_rows(pres.equations, 7, cap)
+
+    @pytest.mark.parametrize("exponents, n", [
+        ((1, 2, 2, 2), 9), ((1, 1, 1, 1), 9), ((2, 2, 2, 2), 8)])
+    @pytest.mark.parametrize("order", ["reversed", "shuffled"])
+    def test_rows_do_not_depend_on_class_order(self, exponents, n, order,
+                                               monkeypatch, measured_classes):
+        # a bound settles a pair only within rows that some measured pair
+        # reached, so the rows hold in any class order, though the order
+        # decides which classes and sweeps the bounds skip
+        pres = _family_presentation(exponents)
+        table = dehn_table(pres, n)
+        in_seed_order = list(measured_classes)
+        cost_classes, rng = analysis._cost_classes, random.Random(0)
+
+        def reordered(*args):
+            classes = cost_classes(*args)
+            if order == "reversed":
+                return classes[::-1]
+            rng.shuffle(classes)
+            return classes
+
+        monkeypatch.setattr(analysis, "_cost_classes", reordered)
+        measured_classes.clear()
+        assert dehn_table(pres, n) == table
+        assert measured_classes != in_seed_order
 
 # The length cap n_max + slack bends the last rows of some family tables:
 # under its default slack (12) abaaab reads 6n - 12 up to n_max - 3 and
