@@ -1,4 +1,7 @@
+import json
 import random
+from dataclasses import astuple
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,10 +20,11 @@ from rewritekit.confluence import (
 from rewritekit.family import Case
 from rewritekit.rewrite import ReductionOrder, RewritingSystem, _reduce, normal_form
 from rewritekit.words import alphabet
-from tests.conftest import demo_schema as demo, system, words_up_to
+from tests.conftest import GRID, demo_schema as demo, system, words_up_to
 
 AB = alphabet("ab")
 ABX = alphabet("abx")
+PROBE_GRID_GOLDEN = Path(__file__).parent / "golden" / "probe_grid.json"
 
 
 def _probe_presentation(params):
@@ -317,6 +321,25 @@ class TestKnuthBendix:
                 assert is_length_non_increasing(report.system)
 
 
+def _probe_grid_lines():
+    """One JSON line per tuple of [1..4]^4: its probe completion at the
+    grid limits, as outcome, stats and the completed rules."""
+    for params in GRID:
+        pres = _probe_presentation(params)
+        report = knuth_bendix(pres, rk.probe_order(pres.alphabet),
+                              max_rules=120, max_steps=4000)
+        rules = report.system and report.system.rule_pairs()
+        yield json.dumps([params, report.outcome, astuple(report.stats), rules])
+
+
+def test_probe_grid_matches_its_golden():
+    """Completion on the whole probe grid is pinned byte for byte: the
+    same pops, orientations and rules.  To re-record after an intended
+    change, run ``PYTHONPATH=src python -m tests.test_confluence``."""
+    expected = PROBE_GRID_GOLDEN.read_text().splitlines()
+    assert list(_probe_grid_lines()) == expected
+
+
 class TestLengthNonIncreasing:
     def test_demo(self, demo):
         assert is_length_non_increasing(demo)
@@ -327,3 +350,7 @@ class TestLengthNonIncreasing:
 
     def test_lengthening_rule(self):
         assert not is_length_non_increasing(system(AB, ("b", "ab")))
+
+
+if __name__ == "__main__":  # re-record the probe-grid golden
+    PROBE_GRID_GOLDEN.write_text("".join(line + "\n" for line in _probe_grid_lines()))
