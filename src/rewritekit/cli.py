@@ -228,7 +228,7 @@ def cmd_grid(args) -> int:
         if "dehn" in checks:
             table = analysis.dehn_table(
                 family.one_relator_presentation(params), args.dehn_n,
-                node_budget=args.oracle_nodes)
+                slack=getattr(args, "slack", None), node_budget=args.oracle_nodes)
             row["dehn"] = [[s.n, s.dehn, s.space] for s in table]
             if any(s.truncated for s in table):
                 truncated.append(exponents)
@@ -432,6 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default %(default)s)")
     p.add_argument("--dehn-n", type=exhaustive_n, default=4,
                    help="dehn check: n of each exhaustive table (default %(default)s)")
+    # suppressed when absent, so the report's budgets echo it only when given
+    p.add_argument("--slack", type=int, default=argparse.SUPPRESS,
+                   help="dehn check: length-cap slack of each table "
+                        "(default 2*longest side)")
     p.add_argument("--out", dest="report_out", help="write the --json report here")
     add_common(p, cmd_grid,
                nodes="node budget of each oracle search and of each Dehn "

@@ -14,6 +14,7 @@ from .rewrite import (
     ReductionOrder,
     Rule,
     RewritingSystem,
+    _matcher,
     _reduce,
     compare,
     verify_termination,
@@ -101,15 +102,36 @@ class LocalConfluenceReport:
     failures: tuple[ConfluenceFailure, ...] = ()
 
 
+def _join(pairs, u: Word, v: Word, fuel: int, automaton) -> tuple[Word, Word]:
+    """The normal forms of ``u`` and ``v`` under the rule list ``pairs``,
+    whose :func:`_matcher` is ``automaton``.
+
+    Leftmost reduction is deterministic, so two words whose reductions
+    pass through a common word share a normal form.  u is reduced to its
+    end while its path is recorded, and v only until it reaches a word on
+    that path: a joinable pair skips v's remaining steps and final scan.
+    Only u's reduction is bounded by ``fuel`` to its end; v's may stop at
+    the meet before its fuel is spent.
+    """
+    steps: list = []
+    nu = _reduce(pairs, u, fuel, steps, automaton)
+    # each step's word after; an irreducible u needs no set
+    path = {u, *[after for _, _, after in steps]} if steps else (u,)
+    nv = _reduce(pairs, v, fuel, None, automaton, path)
+    return nu, nu if nv in path else nv
+
+
 def check_local_confluence(system: RewritingSystem,
                            fuel: int = DEFAULT_FUEL) -> LocalConfluenceReport:
-    """Reduce both sides of every critical pair to normal form and compare."""
+    """Reduce both sides of every critical pair and compare their normal
+    forms (:func:`_join`): the right side's reduction stops where it meets
+    the left side's, so ``fuel`` bounds it only up to the meet."""
     pairs = system.rule_pairs()
+    automaton = _matcher(pairs)
     failures = []
     cps = critical_pairs(system)
     for cp in cps:
-        nl = _reduce(pairs, cp.left, fuel)
-        nr = _reduce(pairs, cp.right, fuel)
+        nl, nr = _join(pairs, cp.left, cp.right, fuel, automaton)
         if nl != nr:
             failures.append(ConfluenceFailure(cp, nl, nr))
     return LocalConfluenceReport(not failures, len(cps), tuple(failures))
@@ -171,6 +193,11 @@ def knuth_bendix(presentation: Presentation, order: ReductionOrder,
     confluent and terminating under ``order``), and ``limit-exceeded``
     otherwise.  Orienting a pair never fails: the order is total, and the
     empty word is below every other word.
+
+    Each popped pair is decided by :func:`_join` against the live rules,
+    matched by one automaton built each time their lhs change: the second
+    side's reduction stops where it meets the first side's, so ``fuel``
+    bounds it only up to the meet.
     """
     if max_rules < 1 or max_steps < 1:
         raise ValueError("limits must be positive")
@@ -183,6 +210,7 @@ def knuth_bendix(presentation: Presentation, order: ReductionOrder,
 
     queue: deque[tuple[Word, Word]] = deque(presentation.equations)
     live: list[tuple[Word, Word]] = []
+    automaton = None  # live's matcher, rebuilt whenever their lhs change
     pairs_processed = rules_added = rules_removed = steps = 0
 
     def report(outcome, system=None):
@@ -196,8 +224,7 @@ def knuth_bendix(presentation: Presentation, order: ReductionOrder,
             return report("limit-exceeded")
         u, v = queue.popleft()
         pairs_processed += 1
-        u = _reduce(live, u, fuel)
-        v = _reduce(live, v, fuel)
+        u, v = _join(live, u, v, fuel, automaton)
         if u == v:
             continue
         # compare is 0 only on equal words, and with every weight >= 1 the
@@ -217,8 +244,10 @@ def knuth_bendix(presentation: Presentation, order: ReductionOrder,
         rules_added += 1
         if len(live) > max_rules:
             return report("limit-exceeded")
+        automaton = _matcher(live)
         # rhs are irreducible under the earlier rules and never contain their own lhs
-        live = [(l, _reduce(live, r, fuel) if lhs in r else r) for l, r in live]
+        live = [(l, _reduce(live, r, fuel, automaton=automaton) if lhs in r else r)
+                for l, r in live]
 
         queue.extend((cp.left, cp.right)
                      for cp in _pairs_for_rules(live, new=len(live) - 1))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .family import certify_family_system, classify, one_relator_presentation
-from .rewrite import DEFAULT_FUEL, Presentation, RewritingSystem, _reduce
+from .rewrite import DEFAULT_FUEL, Presentation, RewritingSystem, _matcher, _reduce
 from .words import Word, _shortlex_words, parse_word, report_word
 
 DEMO_EXPONENTS = (1, 2, 2, 2)
@@ -64,7 +64,8 @@ def apply_substitution(phi: EndomorphismSpec, w: Word) -> Word:
 def _normal_forms(system: RewritingSystem, fuel: int = DEFAULT_FUEL):
     """The normal-form function of a fixed system."""
     pairs = system.rule_pairs()
-    return lambda w: _reduce(pairs, w, fuel)
+    automaton = _matcher(pairs)
+    return lambda w: _reduce(pairs, w, fuel, None, automaton)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from .rewrite import (
     ReductionOrder,
     Rule,
     RewritingSystem,
+    _matcher,
     _reduce,
     find_termination_order,
 )
@@ -333,10 +334,11 @@ def _probe_words(letters: tuple[str, ...]) -> tuple[Word, ...]:
 def empirical_termination_probe(system: RewritingSystem) -> EmpiricalTermination:
     """Reduce random words and record that every derivation halted."""
     pairs = system.rule_pairs()
+    automaton = _matcher(pairs)
     halted = True
     for w in _probe_words(system.alphabet.letters):
         try:
-            _reduce(pairs, w, EMPIRICAL_STEP_BUDGET)
+            _reduce(pairs, w, EMPIRICAL_STEP_BUDGET, None, automaton)
         except FuelExhausted:
             halted = False
             break

@@ -6,13 +6,16 @@ position, and among rules matching there, the one with the lowest index
 wins.  On a complete system the normal form is strategy-independent, so
 this choice only pins down traces and makes every run reproducible.
 
-Two matchers implement it, chosen by the rule list's shape.  An
-Aho-Corasick automaton over the lhs words reads each letter once and
-resumes where the last rewrite happened.  It takes the lists longer than
-``FIND_SCAN_MAX_RULES`` that are flat: no lhs ends inside another, so the
-first match it reads is the leftmost.  Every other list is scanned with one
-``str.find`` per rule.  Knuth-Bendix completion keeps its rules
-inter-reduced, so its growing lists are always flat.
+Two matchers implement it.  An Aho-Corasick automaton over the lhs words
+reads each letter once and resumes where the last rewrite happened.
+``_matcher`` builds one for a list longer than ``FIND_SCAN_MAX_RULES`` that
+is flat: no lhs ends inside another, so the first match it reads is the
+leftmost.  The caller holds it: one that reduces many words against a list,
+as Knuth-Bendix completion does, builds it once per list and hands it to
+every ``_reduce`` on that list.  Every other list, and every reduction that
+is handed no automaton, is scanned with one ``str.find`` per rule.
+Completion keeps its rules inter-reduced, so its growing lists are always
+flat.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
 from itertools import permutations
 from typing import Mapping, Optional
 
@@ -36,11 +38,12 @@ MAX_WEIGHT = 8  # the termination-order search's default weight cap
 # recorded completion calls the automaton, once built, runs at 0.8-0.9x
 # the find scan's speed at 4-7 rules and 1.5-3x from 16 rules up; a build
 # costs about 25 us at 8 rules and 270 us at 48.  Both matchers stay,
-# chosen by this size: completion reduces many words against one long
-# list, where the automaton wins, while certifying a family system reduces
-# against a new list of 1-6 rules, where a build (6-9 us at 1-4 rules)
-# costs more than the scans it saves.  With every list on the automaton,
-# the benchmark's `certify` median query time rose by about 22%.
+# chosen by this size: completion reduces many words against each long
+# list, built once, where the automaton wins, while certifying a family
+# system reduces against a new list of 1-6 rules, where a build (6-9 us
+# at 1-4 rules) costs more than the scans it saves.  With every list on
+# the automaton, the benchmark's `certify` median query time rose by
+# about 22%.
 FIND_SCAN_MAX_RULES = 16
 
 
@@ -265,24 +268,19 @@ class _Automaton:
         return -1, -1
 
 
-@lru_cache(maxsize=4)
-def _automaton(lhss: tuple[Word, ...]) -> Optional[_Automaton]:
-    """The automaton over ``lhss``, or None if the list is nested.
-    Completion reduces many words against one rule list before the list
-    changes, so the last few answers are kept."""
-    automaton = _Automaton(lhss)
-    return None if automaton.nested else automaton
-
-
 def _matcher(pairs) -> Optional[_Automaton]:
-    """The automaton for flat rule lists longer than
+    """A new automaton for a flat rule list longer than
     ``FIND_SCAN_MAX_RULES``, else None: shorter lists, and nested ones,
     where a match that ends later can start sooner, are matched by
-    :func:`_leftmost_match`.  Completion's lists are flat, since it keeps
-    every lhs a normal form of the other rules."""
-    if len(pairs) > FIND_SCAN_MAX_RULES:
-        return _automaton(tuple([lhs for lhs, _ in pairs]))
-    return None
+    :func:`_leftmost_match`.  Each call builds afresh, so a caller that
+    reduces many words against one list builds it once, each time the
+    list's lhs change, and hands it to every :func:`_reduce` on the list.
+    Completion's lists are flat, since it keeps every lhs a normal form of
+    the other rules."""
+    if len(pairs) <= FIND_SCAN_MAX_RULES:
+        return None
+    automaton = _Automaton([lhs for lhs, _ in pairs])
+    return None if automaton.nested else automaton
 
 
 def rewrite_step(system: RewritingSystem, w: Word) -> Optional[tuple[Word, int, int]]:
@@ -299,20 +297,21 @@ def rewrite_step(system: RewritingSystem, w: Word) -> Optional[tuple[Word, int, 
     return w[:pos] + rhs + w[pos + len(lhs):], idx, pos
 
 
-def _reduce(pairs, w: Word, fuel: int, trace: Optional[list] = None) -> Word:
+def _reduce(pairs, w: Word, fuel: int, trace: Optional[list] = None,
+            automaton: Optional[_Automaton] = None, meet=()) -> Word:
     """Normal form of ``w``: the one reduction loop.  When ``trace`` is
     given, each step appends ``(rule index, position, word after)`` to it.
+    The first word of the reduction, ``w`` included, that lies in ``meet``
+    ends it early and is returned in place of the normal form.
 
-    Flat lists longer than ``FIND_SCAN_MAX_RULES`` rules, such as
-    completion's, are matched by an Aho-Corasick automaton over their lhs
-    words.  A rewrite at position p leaves the states it read for
-    ``w[:p]`` valid, so the next scan resumes there.  Other lists are
-    matched by one ``str.find`` per rule and step.
+    ``automaton`` is the list's :func:`_matcher`.  It reads each letter
+    once, and a rewrite at position p leaves the states it read for
+    ``w[:p]`` valid, so the next scan resumes there.  Without it the list
+    is matched by one ``str.find`` per rule and step.
     """
-    automaton = _matcher(pairs)
     states, pos = [0], 0
     steps = 0
-    while True:
+    while w not in meet:
         pos, idx = (_leftmost_match(pairs, w) if automaton is None
                     else automaton.match(w, states, pos))
         if pos == -1:
@@ -324,6 +323,7 @@ def _reduce(pairs, w: Word, fuel: int, trace: Optional[list] = None) -> Word:
         steps += 1
         if trace is not None:
             trace.append((idx, pos, w))
+    return w
 
 
 @dataclass(frozen=True)
@@ -351,7 +351,8 @@ def normal_form(system: RewritingSystem, w: Word,
     if fuel < 1:
         raise ValueError("fuel must be >= 1")
     steps: list[tuple[int, int, Word]] = []
-    nf = _reduce(system.rule_pairs(), w, fuel, steps)
+    pairs = system.rule_pairs()
+    nf = _reduce(pairs, w, fuel, steps, _matcher(pairs))
     return nf, ReductionTrace(tuple(steps))
 
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from rewritekit import analysis, cli
+from rewritekit import analysis, cli, family
 from rewritekit.confluence import knuth_bendix
 
 DEMO_PRESENTATION = "letters: a b\nab^2a^2b^2 = b\n"
@@ -390,6 +390,17 @@ class TestCommands:
         assert rows[0]["probe"] == "completed"
         assert rows[0]["length_non_increasing"] is True
         assert rows[0]["dehn"][-1][0] == 3
+
+    @pytest.mark.parametrize("slack", [12, 1])  # slack 1 lowers rows 4-6 below the default's
+    def test_grid_dehn_slack(self, slack, capsys):
+        # the rows are dehn_table's at that slack, and the budgets echo it
+        assert cli.main(["grid", "--range", "1..1", "--checks", "dehn",
+                         "--dehn-n", "6", "--slack", str(slack), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        table = analysis.dehn_table(family.one_relator_presentation(
+            family.classify(1, 1, 1, 1)[1]), 6, slack=slack)
+        assert payload["rows"][0]["dehn"] == [[s.n, s.dehn, s.space] for s in table]
+        assert payload["budgets"]["slack"] == slack
 
     @pytest.mark.parametrize("equation", ["ab^2a^2b^2 = b", "b = ab^2a^2b^2"])
     @pytest.mark.parametrize("mode", [[], ["--space"]])

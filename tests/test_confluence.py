@@ -245,7 +245,8 @@ class TestKnuthBendix:
         the automaton on long rule lists and with the per-rule find scan on
         every list: the same report, and the same rules at the last
         reduction.  Every automaton they use is flat, so none of their
-        long lists falls back to the find scan."""
+        long lists falls back to the find scan, and completion builds each
+        list's automaton once, when the list's lhs change."""
         if params is None:
             pres, order = demo_presentation, ReductionOrder({"a": 1, "b": 1}, ("a", "b"))
         else:
@@ -256,23 +257,23 @@ class TestKnuthBendix:
         def complete():
             last_rules = []
 
-            def recording(pairs, *args):
+            def recording(pairs, *args, **kwargs):
                 last_rules[:] = pairs
-                return reduce(pairs, *args)
+                return reduce(pairs, *args, **kwargs)
 
             monkeypatch.setattr(confluence, "_reduce", recording)
             return knuth_bendix(pres, order, max_rules=120, max_steps=4000), last_rules
 
-        automata, build = [], rewrite._Automaton
+        automata, lhs_lists, build = [], [], rewrite._Automaton
 
         def building(lhss):
+            lhs_lists.append(tuple(lhss))
             automata.append(build(lhss))
             return automata[-1]
 
-        rewrite._automaton.cache_clear()
         monkeypatch.setattr(rewrite, "_Automaton", building)
         with_automaton = complete()
-        assert rewrite._automaton.cache_info().hits > 0
+        assert len(set(lhs_lists)) == len(lhs_lists)
         assert automata and not any(a.nested for a in automata)
         assert with_automaton[0].stats.steps == 4001
         monkeypatch.setattr(rewrite, "FIND_SCAN_MAX_RULES", 120)  # above every list

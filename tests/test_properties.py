@@ -1,8 +1,9 @@
 """Seeded property tests for the shared building blocks: the one reduction
-loop, its trace and its two matchers, the system and presentation file
-formats, the shortlex enumerator behind ``enumerate_elements``, the
-certificates of the equality oracle, the weighted-shortlex reduction order
-and its search, and the Dehn tables' distance search."""
+loop, its trace and its two matchers, completion's joinability test, the
+system and presentation file formats, the shortlex enumerator behind
+``enumerate_elements``, the certificates of the equality oracle, the
+weighted-shortlex reduction order and its search, and the Dehn tables'
+distance search."""
 
 import itertools
 from unittest.mock import patch
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from rewritekit import rewrite
 from rewritekit.analysis import dehn_table, enumerate_elements, equal_in_monoid
+from rewritekit.confluence import _join
 from rewritekit.rewrite import (
     FuelExhausted,
     LESS,
@@ -101,15 +103,50 @@ def test_automaton_matches_like_the_find_scan(pairs, w, fuel):
     if automaton is not None:
         assert automaton.match(w, [0], 0) == _leftmost_match(pairs, w)
 
-    def reduced(cutoff):
+    def reduced(automaton):
         trace = []
-        with patch.object(rewrite, "FIND_SCAN_MAX_RULES", cutoff):
-            try:
-                return _reduce(pairs, w, fuel, trace), trace
-            except FuelExhausted as exc:
-                return exc.args, trace
+        try:
+            return _reduce(pairs, w, fuel, trace, automaton), trace
+        except FuelExhausted as exc:
+            return exc.args, trace
 
-    assert reduced(-1) == reduced(len(pairs))
+    assert reduced(automaton) == reduced(None)
+
+
+@st.composite
+def _shrinking_lists(draw):
+    """Length-reducing rules, so every reduction ends: lhs over a and b,
+    flat or nested, rhs over a, b and x."""
+    return [(lhs, draw(_words("abx", 0, len(lhs) - 1)))
+            for lhs in draw(st.lists(_words("ab", 1, 4), max_size=24))]
+
+
+@settings(max_examples=300)
+@given(_shrinking_lists(), _words("abx", 0, 12), _words("abx", 0, 12),
+       st.none() | st.integers(0, 12))
+@example([("ab", "")], "aabb", "", 0)  # u = v
+@example([("ab", "")], "aabb", "", 1)  # v already on u's path
+@example([("ab", "x"), ("xb", "")], "aabb", "aabbxb", None)  # v meets u's path
+@example([("ab", "x"), ("ba", "")], "aba", "bab", None)  # not joinable
+def test_join_decides_like_two_full_reductions(pairs, u, v, on_path):
+    """``confluence._join`` returns the two normal forms that full
+    ``_reduce`` calls give, so it says joinable exactly when they agree,
+    under the find scan and, on flat lists, under the automaton.  With
+    ``meet``, v's reduction returns the first of its words on u's path.
+    ``on_path`` picks v from u's path instead: u itself at 0."""
+    trace = []
+    nu = _reduce(pairs, u, 10**6, trace)
+    path = [u] + [after for _, _, after in trace]
+    if on_path is not None:
+        v = path[on_path % len(path)]
+    trace = []
+    nv = _reduce(pairs, v, 10**6, trace)
+    met = next((w for w in [v] + [after for _, _, after in trace] if w in path), nv)
+    for cutoff in (-1, 10**6):
+        with patch.object(rewrite, "FIND_SCAN_MAX_RULES", cutoff):
+            automaton = _matcher(pairs)
+        assert _reduce(pairs, v, 10**6, automaton=automaton, meet=set(path)) == met
+        assert _join(pairs, u, v, 10**6, automaton) == (nu, nv)
 
 
 @given(_systems())
