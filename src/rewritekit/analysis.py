@@ -5,12 +5,17 @@ bidirectional breadth-first search over the graph whose edges are single
 relation applications (in either direction), restricted to words no
 longer than a caller-supplied bound.  All outcomes are values: a
 certificate, a definite "not connected within the bound", or an
-"inconclusive" when the node budget ran out first.
+"inconclusive" when the node budget ran out first.  The search expands a
+word only by the steps that can reach a word its tree does not hold yet:
+it skips the step back to the word's parent and, as sleep sets do in
+partial-order reduction, the steps independent of the one that reached
+the word and taken before it from the parent.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
@@ -93,11 +98,13 @@ def _neighbors(rules, w: Word, cap: int) -> list[Word]:
     """The words one relation application away from ``w`` within the length
     cap, in enumeration order: rule by rule, then by ascending position.
 
-    This is the one relation-application enumerator.  It returns words only
-    (a word may repeat when two applications join the same pair);
-    :func:`_application` recovers a step's (equation, direction, position)
-    in the same order when a certificate needs it.  An empty pattern
-    matches at every position, as ``str.find`` reports it.
+    :func:`_explore` builds a Dehn class graph's rows with it.  It returns
+    words only (a word may repeat when two applications join the same
+    pair); :func:`_application` recovers a step's (equation, direction,
+    position) in the same order when a certificate needs it.
+    :func:`_bidirectional_search` enumerates the steps inline, in this
+    order, less the ones it skips.  An empty pattern matches at every
+    position, as ``str.find`` reports it.
     """
     out = []
     room = cap - len(w)
@@ -154,6 +161,19 @@ def _bidirectional_search(rules, x: Word, y: Word, cap: int,
     first word both trees reach, ``unequal-within-bound`` when a side's
     frontier empties first, and ``inconclusive`` when the two trees
     together outgrow the node budget first.
+
+    Words are expanded in :func:`_neighbors` order, less two kinds of step
+    (Godefroid's sleep sets, *Partial-Order Methods for the Verification
+    of Concurrent Systems*, LNCS 1032, 1996).  Let rule k at position p be
+    the step by which w's parent u first reached w.  Skipped are the
+    inverse step at p, which leads back to u, and a step whose window lies
+    outside the one that rule k wrote, whose growth fits u's room, and that
+    comes before (k, p) in u's order: that step and (k, p) commute, and u
+    took it first, so its word u' is in the tree ahead of w, and the
+    expansion of u' puts the skipped word in the tree before w is expanded.
+    Every skipped word is already in the tree, so the same words are
+    interned, met and counted against the budget in the same order as in a
+    search by every step, with the same answers and certificates.
     """
     if x == y:
         return EqualityOutcome("equal",
@@ -161,35 +181,64 @@ def _bidirectional_search(rules, x: Word, y: Word, cap: int,
     # word -> parent (None at the root) in the tree grown from x (forward) or y
     vis_f = {x: None}
     vis_b = {y: None}
-    frontier_f, frontier_b = [x], [y]
+    # a side's frontier: its words, and the rule and position of the step
+    # that first reached each, in parallel columns (rule -1 at the root)
+    side_f = ([x], array("i", [-1]), array("i", [0]))
+    side_b = ([y], array("i", [-1]), array("i", [0]))
+    indexed = tuple((k, pat, sub, growth, len(pat))
+                    for k, (pat, sub, growth) in enumerate(rules))
 
-    while frontier_f and frontier_b:
-        forward = len(frontier_f) <= len(frontier_b)
+    while side_f[0] and side_b[0]:
+        forward = len(side_f[0]) <= len(side_b[0])
         this_vis, other_vis = (vis_f, vis_b) if forward else (vis_b, vis_f)
-        frontier = frontier_f if forward else frontier_b
-        room = node_budget - len(other_vis)  # for this side, while it grows
-        new_frontier: list[Word] = []
-        for w in frontier:
-            for w2 in _neighbors(rules, w, cap):
-                if w2 in this_vis:
+        node_room = node_budget - len(other_vis)  # for this side, while it grows
+        new_words: list[Word] = []
+        new_rules, new_positions = array("i"), array("i")
+        for w, k, p in zip(*(side_f if forward else side_b)):
+            room = cap - len(w)
+            if k >= 0:  # rule k made w from its parent by writing w[p:end]
+                end = p + len(rules[k][1])
+                parent_room = room + rules[k][2]
+            inverse = k ^ 1
+            # the steps in _neighbors' order, less the skipped ones
+            for k2, pat, sub, growth, m in indexed:
+                if growth > room:
                     continue
-                this_vis[w2] = w
-                new_frontier.append(w2)
-                if w2 in other_vis:
-                    # the first meet is step-minimal.  With this tree building
-                    # level L and the other's last complete level K, a meet
-                    # totalling fewer than L + K steps finds w2 on a level of
-                    # the other tree below K; w neighbours w2, so both trees
-                    # held w before this level, and whichever reached it
-                    # second met the other there and would have returned
-                    return EqualityOutcome(
-                        "equal", _build_certificate(rules, w2, vis_f, vis_b))
-                if len(this_vis) > room:
-                    return EqualityOutcome("inconclusive")
+                lo, hi = 0, len(w)
+                if k2 == k:  # none that starts before p and ends by it
+                    lo = p + 1 - m if m else p
+                elif k2 < k and growth <= parent_room:  # those meeting w[p:end]
+                    lo, hi = p + 1 - m, end - 1 + m
+                back = p if k2 == inverse else -1  # the step back to the parent
+                # find counts a negative bound from the end; hi is -1 only
+                # for an empty pattern and an empty w[p:end] at 0
+                q = w.find(pat, lo if lo > 0 else 0, hi) if hi >= 0 else -1
+                while q != -1:
+                    if q != back:
+                        w2 = w[:q] + sub + w[q + m:]
+                        if w2 not in this_vis:
+                            this_vis[w2] = w
+                            new_words.append(w2)
+                            new_rules.append(k2)
+                            new_positions.append(q)
+                            if w2 in other_vis:
+                                # the first meet is step-minimal.  With this
+                                # tree building level L and the other's last
+                                # complete level K, a meet totalling fewer
+                                # than L + K steps finds w2 on a level of the
+                                # other tree below K; w neighbours w2, so both
+                                # trees held w before this level, and
+                                # whichever reached it second met the other
+                                # there and would have returned
+                                return EqualityOutcome(
+                                    "equal", _build_certificate(rules, w2, vis_f, vis_b))
+                            if len(this_vis) > node_room:
+                                return EqualityOutcome("inconclusive")
+                    q = w.find(pat, q + 1, hi)
         if forward:
-            frontier_f = new_frontier
+            side_f = new_words, new_rules, new_positions
         else:
-            frontier_b = new_frontier
+            side_b = new_words, new_rules, new_positions
     return EqualityOutcome("unequal-within-bound")
 
 

@@ -7,7 +7,8 @@ from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
 import rewritekit as rk
-from rewritekit.analysis import DehnSample
+from rewritekit.analysis import (DehnSample, EqualityCertificate, EqualityOutcome,
+                                 _build_certificate, _neighbors)
 from rewritekit.rewrite import _letter_ranks, _order_key
 
 # Property tests draw the same examples on every run and keep no example
@@ -65,6 +66,44 @@ def reference_order_scan(system, max_weight):
                    for lhs, rhs in pairs):
                 return rk.ReductionOrder(weights, prec)
     return None
+
+
+def reference_search(rules, x, y, cap, node_budget):
+    """The equality oracle's bidirectional search as a plain loop over
+    ``_neighbors``, which expands every word by every step, with the same
+    signature and answers as ``analysis._bidirectional_search``.  The
+    library's search must return what this returns, certificate included,
+    and intern the same words in the same order."""
+    if x == y:
+        return EqualityOutcome("equal",
+                               EqualityCertificate((x,), (), 0, len(x)))
+    # word -> parent (None at the root) in the tree grown from x (forward) or y
+    vis_f = {x: None}
+    vis_b = {y: None}
+    frontier_f, frontier_b = [x], [y]
+
+    while frontier_f and frontier_b:
+        forward = len(frontier_f) <= len(frontier_b)
+        this_vis, other_vis = (vis_f, vis_b) if forward else (vis_b, vis_f)
+        frontier = frontier_f if forward else frontier_b
+        room = node_budget - len(other_vis)  # for this side, while it grows
+        new_frontier = []
+        for w in frontier:
+            for w2 in _neighbors(rules, w, cap):
+                if w2 in this_vis:
+                    continue
+                this_vis[w2] = w
+                new_frontier.append(w2)
+                if w2 in other_vis:
+                    return EqualityOutcome(
+                        "equal", _build_certificate(rules, w2, vis_f, vis_b))
+                if len(this_vis) > room:
+                    return EqualityOutcome("inconclusive")
+        if forward:
+            frontier_f = new_frontier
+        else:
+            frontier_b = new_frontier
+    return EqualityOutcome("unequal-within-bound")
 
 
 def bfs_graph(equations, seeds, cap):

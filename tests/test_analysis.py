@@ -29,11 +29,13 @@ from rewritekit.rewrite import (
 )
 from rewritekit.confluence import knuth_bendix
 from rewritekit.words import _random_words, _shortlex_words, alphabet
+from tests import conftest
 from tests.conftest import (
     bfs_distances,
     bfs_graph,
     certified_demo as demo,
     reference_dehn_rows,
+    reference_search,
     words_up_to,
 )
 
@@ -157,26 +159,37 @@ class TestEqualInMonoid:
                 checked += 1
         assert checked >= 30  # the graph genuinely contains equal pairs
 
+    FIRST_MEET_BUDGETS = {("bbbb", "abbbbab"): 139, ("bbab", "aaabbbb"): 88,
+                          ("abbbb", "bbbab"): 62}
+
     @pytest.mark.parametrize("x, y, bound", [
         ("bbbb", "abbbbab", 15),
         ("bbab", "aaabbbb", 15),
         ("abbbb", "bbbab", 13),
     ])
     def test_search_returns_at_its_first_meet(self, monkeypatch, x, y, bound):
-        # the word expanded last is the one whose neighbour met the other
-        # side, so it lies on the certificate: nothing is expanded after
+        # both trees together may hold node_budget words, and the meet word
+        # answers before the budget is checked.  So a search that returns at
+        # its first meet answers equal under a budget of the words it holds
+        # when it finds the meet word, and inconclusive under one fewer; a
+        # search that went on past the meet, or met later, would need more.
+        # The reference loop finds that count
         pres = rk.Presentation(AB, (("abab", "b"),))
-        expanded = []
-        neighbors = analysis._neighbors
+        held = []
+        build = conftest._build_certificate
 
-        def recorded(rules, w, cap):
-            expanded.append(w)
-            return neighbors(rules, w, cap)
+        def recorded(rules, meet, vis_f, vis_b):
+            held.append(len(vis_f) + len(vis_b) - 1)  # less the meet word
+            return build(rules, meet, vis_f, vis_b)
 
-        monkeypatch.setattr(analysis, "_neighbors", recorded)
-        outcome = equal_in_monoid(pres, x, y, bound)
-        assert outcome.status == "equal"
-        assert expanded[-1] in outcome.certificate.chain
+        monkeypatch.setattr(conftest, "_build_certificate", recorded)
+        rules = analysis._directed(pres.equations)
+        assert reference_search(rules, x, y, bound, 10**6).status == "equal"
+        assert held == [self.FIRST_MEET_BUDGETS[x, y]]
+        least = held[0]
+        assert equal_in_monoid(pres, x, y, bound, node_budget=least).status == "equal"
+        assert equal_in_monoid(pres, x, y, bound,
+                               node_budget=least - 1).status == "inconclusive"
 
     def test_space_minimal_mode_is_exact(self, demo):
         _, pres, params = demo

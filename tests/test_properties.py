@@ -1,18 +1,20 @@
 """Seeded property tests for the shared building blocks: the one reduction
 loop, its trace and its two matchers, completion's joinability test, the
 system and presentation file formats, the shortlex enumerator behind
-``enumerate_elements``, the certificates of the equality oracle, the
-weighted-shortlex reduction order and its search, and the Dehn tables'
-distance search."""
+``enumerate_elements``, the certificates of the equality oracle and its
+search against the reference loop, the weighted-shortlex reduction order
+and its search, and the Dehn tables' distance search."""
 
 import itertools
+from functools import lru_cache
 from unittest.mock import patch
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rewritekit import rewrite
-from rewritekit.analysis import dehn_table, enumerate_elements, equal_in_monoid
+from rewritekit import analysis, rewrite
+from rewritekit.analysis import (DEFAULT_NODE_BUDGET, default_slack, dehn_table,
+                                 enumerate_elements, equal_in_monoid)
 from rewritekit.confluence import _join
 from rewritekit.rewrite import (
     FuelExhausted,
@@ -36,7 +38,7 @@ from rewritekit.rewrite import (
 )
 from rewritekit.words import Alphabet, _shortlex_words, parse_word, print_word
 from tests.conftest import (reference_dehn_rows, reference_order_scan,
-                            weight_needed)
+                            reference_search, weight_needed)
 
 LETTER_SETS = ("ab", "abx", "pqrs")
 
@@ -249,6 +251,58 @@ def test_budget_cut_certificates_stay_minimal(equations, x, extra, walk):
                                 minimize="space")
         if space.status == "equal":
             assert space.certificate.s == s
+
+
+@st.composite
+def _oracle_queries(draw):
+    """A presentation over 2 or 3 letters with 1-3 equations whose sides
+    have 0-5 letters, two words of up to 8 letters (the second either
+    drawn or reached from the first by a walk within the bound, so that
+    many pairs are equal), a bound up to ``default_slack`` above the
+    longer word, and a node budget of 1-40 or the default."""
+    letters = draw(st.sampled_from(("ab", "abc")))
+    equations = draw(st.lists(st.tuples(_words(letters, 0, 5), _words(letters, 0, 5)),
+                              min_size=1, max_size=3))
+    pres = Presentation(Alphabet(tuple(letters)), tuple(equations))
+    extra = draw(st.integers(0, default_slack(pres)))
+    x = draw(_words(letters, 0, 8))
+    y = draw(st.one_of(_words(letters, 0, 8), st.lists(st.integers(0, 99), max_size=6).map(
+        lambda walk: _walk(pres.equations, x, len(x) + extra, walk)[-1])))
+    budget = draw(st.one_of(st.integers(1, 40), st.just(DEFAULT_NODE_BUDGET)))
+    return pres, x, y, max(len(x), len(y)) + extra, budget
+
+
+def _query(equations, x, y, bound):
+    return (Presentation(Alphabet(("a", "b")), equations), x, y, bound,
+            DEFAULT_NODE_BUDGET)
+
+
+@settings(max_examples=150)
+@given(_oracle_queries())
+# '' -> b fits the room of '', which a -> '' reached, and not the room of a
+@example(_query((("b", ""), ("", "a")), "a", "b", 1))
+@example(_query((("", "ab"), ("", "b")), "a", "b", 2))  # empty patterns
+# each ab -> ba left of the arriving one is skipped
+@example(_query((("ab", "ba"),), "aabb", "bbaa", 4))
+@example(_query((("ab", "ab"), ("ba", "a")), "abab", "aab", 6))  # equal sides
+# a -> '' on the one letter that b -> a wrote
+@example(_query((("a", ""), ("a", "b")), "b", "", 1))
+# b -> '' and '' -> b away from the arriving step, on either side of it
+@example(_query((("b", ""),), "aaab", "ababba", 6))
+def test_search_answers_like_the_reference_loop(query):
+    """The search skips the steps whose word its tree already holds, and
+    must still intern the same words in the same order as the reference
+    loop over every step: the same status and certificate in both modes,
+    and the same point where a node budget cuts it short.  Both modes
+    search at the bound first, so each search runs once per example."""
+    pres, x, y, bound, budget = query
+    searches = [lru_cache()(analysis._bidirectional_search), lru_cache()(reference_search)]
+    for minimize in ("steps", "space"):
+        outcomes = []
+        for search in searches:
+            with patch.object(analysis, "_bidirectional_search", search):
+                outcomes.append(equal_in_monoid(pres, x, y, bound, budget, minimize))
+        assert outcomes[0] == outcomes[1]
 
 
 def _orders(letters):
